@@ -33,7 +33,10 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** Runs ``sql`` on DuckDB over ``tables`` (every column loaded as
+    * VARCHAR) and returns the result's column labels and rows.
+    */
+  def query(sql: String, tables: (String, DataFrame)*): (Seq[String], Seq[Row]) = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -60,18 +63,23 @@ object Oracle {
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
         .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      (dCols, dRows)
     } finally conn.close()
+  }
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val (dCols, dRows) = query(sql, tables: _*)
+    val sCols = sparkDf.columns.toSeq
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
+    val got = canon(sparkDf.collect().toSeq, sCols)
+    val exp = canon(dRows, dCols)
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:  ${exp.diff(got).take(3)}"
+    )
   }
 }

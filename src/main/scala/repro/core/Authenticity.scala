@@ -13,49 +13,25 @@ import org.apache.spark.sql.functions._
   * the number of recipes of cuisine c (Ahn et al.'s definition; the paper's
   * prose ambiguously says "total number of recipes in the dataset" — see
   * DESIGN.md errata). The mean over k ≠ c includes cuisines where the item
-  * never occurs (P = 0), so the computation densifies over the full
-  * cuisine × item grid.
+  * never occurs (P = 0), so the matrix is dense over cuisines × items.
   *
-  * All aggregation runs through Spark SQL and is oracle-checked against
-  * DuckDB in the test suite.
+  * Spark computes only the two counts, N_c and n_i^c, each as one
+  * aggregation collected to the driver; `n_i^c` is oracle-checked against
+  * DuckDB in the test suite. The dense cuisines × items matrix (26 × ~20k
+  * doubles, about 4 MB, at SF=1) is filled in on the driver.
   */
 object Authenticity {
 
-  /** (cuisine, item, prevalence) over the full cross product of observed
-    * cuisines and items appearing in `itemsCol`.
+  /** (cuisine, item, n_with_item): the number of recipes of each cuisine
+    * that contain each item at least once. Pairs with no such recipe are
+    * absent.
     */
-  def prevalence(recipes: DataFrame, itemsCol: String = "ingredients"): DataFrame = {
-    val perCuisine = recipes.groupBy("cuisine").agg(count(lit(1)).as("n_recipes"))
-    val pairs = recipes
+  def itemCounts(recipes: DataFrame, itemsCol: String = "ingredients"): DataFrame =
+    recipes
       .select(col("id"), col("cuisine"), explode(col(itemsCol)).as("item"))
       .distinct() // recipe-level presence, robust to duplicate items
       .groupBy("cuisine", "item")
       .agg(count(lit(1)).as("n_with_item"))
-    val grid = perCuisine.select("cuisine").crossJoin(pairs.select("item").distinct())
-    grid
-      .join(pairs, Seq("cuisine", "item"), "left")
-      .na.fill(0L, Seq("n_with_item"))
-      .join(perCuisine, Seq("cuisine"))
-      .select(
-        col("cuisine"), col("item"),
-        (col("n_with_item").cast("double") / col("n_recipes")).as("prevalence"),
-      )
-  }
-
-  /** Adds `rel_prevalence` = P_i^c − (Σ_k P_i^k − P_i^c) / (K − 1). */
-  def relativePrevalence(prev: DataFrame): DataFrame = {
-    val spark = prev.sparkSession
-    val k = prev.select("cuisine").distinct().count()
-    require(k >= 2, "relative prevalence needs at least two cuisines")
-    val sums = prev.groupBy("item").agg(sum("prevalence").as("sum_prev"))
-    prev
-      .join(sums, Seq("item"))
-      .select(
-        col("cuisine"), col("item"), col("prevalence"),
-        (col("prevalence") - (col("sum_prev") - col("prevalence")) / lit((k - 1).toDouble))
-          .as("rel_prevalence"),
-      )
-  }
 
   final case class Fingerprints(
       cuisines: IndexedSeq[String],
@@ -64,20 +40,29 @@ object Authenticity {
   )
 
   /** Dense relative-prevalence fingerprint matrix, rows sorted by cuisine
-    * and columns by item so the result is deterministic.
+    * and columns by item so the result is deterministic. Needs at least two
+    * cuisines.
     */
   def fingerprints(spark: SparkSession, recipes: DataFrame,
                    itemsCol: String = "ingredients"): Fingerprints = {
     import spark.implicits._
-    val rel = relativePrevalence(prevalence(recipes, itemsCol))
-    val rows = rel.select($"cuisine", $"item", $"rel_prevalence")
-      .as[(String, String, Double)].collect()
-    val cuisines = rows.map(_._1).distinct.sorted.toIndexedSeq
-    val items = rows.map(_._2).distinct.sorted.toIndexedSeq
+    val totals = recipes.groupBy("cuisine").count().as[(String, Long)].collect().sortBy(_._1)
+    val k = totals.length
+    require(k >= 2, "relative prevalence needs at least two cuisines")
+    val counts = itemCounts(recipes, itemsCol).as[(String, String, Long)].collect()
+
+    val cuisines = totals.map(_._1).toIndexedSeq
+    val items = counts.map(_._2).distinct.sorted.toIndexedSeq
     val ci = cuisines.zipWithIndex.toMap
     val ii = items.zipWithIndex.toMap
-    val m = Array.fill(cuisines.size)(new Array[Double](items.size))
-    rows.foreach { case (c, i, v) => m(ci(c))(ii(i)) = v }
+    val m = Array.fill(k)(new Array[Double](items.size)) // P, zero-filled
+    counts.foreach { case (c, i, n) =>
+      val row = ci(c)
+      m(row)(ii(i)) = n.toDouble / totals(row)._2
+    }
+    val sums = new Array[Double](items.size)
+    m.foreach(row => row.indices.foreach(j => sums(j) += row(j)))
+    m.foreach(row => row.indices.foreach(j => row(j) -= (sums(j) - row(j)) / (k - 1)))
     Fingerprints(cuisines, items, m)
   }
 }

@@ -17,7 +17,11 @@ object PatternFeatures {
       patternUniverse: IndexedSeq[String],   // column order = label encoding
       matrix: Array[Array[Double]],          // binary indicators
   ) {
-    def vectorOf(cuisine: String): Array[Double] = matrix(cuisines.indexOf(cuisine))
+    def vectorOf(cuisine: String): Array[Double] = {
+      val i = cuisines.indexOf(cuisine)
+      require(i >= 0, s"unknown cuisine: $cuisine")
+      matrix(i)
+    }
   }
 
   def fromPatterns(perCuisine: Seq[PatternMiner.CuisinePatterns]): Features = {

@@ -1,14 +1,20 @@
 package repro.fpm
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import scala.collection.mutable
 
 /** One mined frequent itemset with absolute and relative frequency. */
 final case class FreqItemset(items: Seq[String], freq: Long, support: Double)
 
-/** Distributed FP-Growth — a from-scratch Parallel FP-Growth (Li et al.,
-  * RecSys 2008; the same scheme Spark MLlib implements), written against the
-  * Dataset API:
+/** FP-Growth in two forms.
+  *
+  * [[mineLocal]] is the single-tree FP-Growth of Han, Pei & Yin (SIGMOD
+  * 2000) over an in-memory collection; `core.PatternMiner` runs it once per
+  * cuisine inside one Spark pass, so it is the production path.
+  *
+  * [[mine]] is a from-scratch Parallel FP-Growth (Li et al., RecSys 2008;
+  * the same scheme Spark MLlib implements), written against the Dataset API
+  * for one database too large for a task:
   *
   *  1. count item frequencies; keep items with count >= minCount, ranked by
   *     descending frequency (rank 0 = most frequent);
@@ -19,7 +25,9 @@ final case class FreqItemset(items: Seq[String], freq: Long, support: Double)
   *     and extract itemsets whose suffix belongs to the group — each
   *     frequent itemset is produced by exactly one group.
   *
-  * Validated in tests against MLlib's `ml.fpm.FPGrowth`, [[Apriori]] and
+  * It is the §II baseline against [[Apriori]] and the independent oracle the
+  * test suite checks the per-cuisine path against. Both forms are validated
+  * in tests against MLlib's `ml.fpm.FPGrowth`, [[Apriori]] and
   * [[BruteForce]].
   */
 object FPGrowth {
@@ -28,7 +36,8 @@ object FPGrowth {
   def minCountFor(minSupport: Double, total: Long): Long =
     math.ceil(minSupport * total).toLong
 
-  /** Mine frequent itemsets from string transactions.
+  /** Mine frequent itemsets from string transactions with Parallel
+    * FP-Growth.
     *
     * @param transactions one item sequence per row (duplicates within a
     *                     transaction are ignored)
@@ -92,17 +101,9 @@ object FPGrowth {
       }
   }
 
-  /** Convenience: mine a DataFrame column of array<string>. */
-  def mineColumn(df: DataFrame, itemsCol: String, minSupport: Double,
-                 numGroups: Int = 32): Dataset[FreqItemset] = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    mine(df.select(itemsCol).as[Seq[String]], minSupport, numGroups)
-  }
-
-  /** Driver-side single-tree FP-Growth over an in-memory collection —
-    * the reference the distributed path must agree with, and the fast path
-    * for per-cuisine mining where one cuisine easily fits in memory.
+  /** Single-tree FP-Growth over an in-memory collection, in whichever JVM
+    * calls it: the per-cuisine miner of `core.PatternMiner`, where one
+    * cuisine easily fits in a task.
     */
   def mineLocal(transactions: Seq[Seq[String]], minSupport: Double): Seq[FreqItemset] = {
     require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")

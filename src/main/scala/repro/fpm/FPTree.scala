@@ -10,8 +10,9 @@ import scala.collection.mutable
   * Mining walks suffix items, projects the conditional tree for each, and
   * recurses — no candidate generation.
   *
-  * Used both directly (tests, driver-side mining) and as the per-group
-  * miner inside the distributed [[FPGrowth]].
+  * The miner behind both forms of [[FPGrowth]]: one tree per cuisine in
+  * `FPGrowth.mineLocal` (the production path), one tree per item group in
+  * the distributed `FPGrowth.mine`.
   */
 class FPTree[T] extends Serializable {
   import FPTree._
@@ -45,12 +46,6 @@ class FPTree[T] extends Serializable {
       child.count += count
       curr = child
     }
-    this
-  }
-
-  /** Merge another tree into this one (replays its transactions). */
-  def merge(other: FPTree[T]): this.type = {
-    other.transactions.foreach { case (t, c) => add(t, c) }
     this
   }
 

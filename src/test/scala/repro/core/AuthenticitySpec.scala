@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.recipedb.RecipeGen
@@ -20,87 +21,93 @@ class AuthenticitySpec extends SparkSpec {
 
   private lazy val gen = RecipeGen.recipes(spark, 0.01).cache()
 
-  test("prevalence on the tiny example matches hand computation") {
-    val p = Authenticity.prevalence(tiny).collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getDouble(2)).toMap
-    assert(p(("A", "x")) == 3.0 / 4)
-    assert(p(("A", "y")) == 2.0 / 4)
-    assert(p(("A", "z")) == 1.0 / 4)
-    assert(p(("B", "x")) == 1.0 / 2)
-    assert(p(("B", "y")) == 0.0) // densified grid
-    assert(p(("B", "z")) == 1.0 / 2)
-    assert(p.size == 6)
+  /** Relative prevalence in SQL over the densified cuisine × item grid:
+    * `recipes(id, cuisine)` and the distinct exploded `ex(id, cuisine, item)`.
+    */
+  private val relPrevalenceSql =
+    """
+    WITH per_c AS (SELECT cuisine, count(*) AS n FROM recipes GROUP BY cuisine),
+         pairs AS (SELECT cuisine, item, count(*) AS m FROM ex GROUP BY cuisine, item),
+         grid AS (SELECT c.cuisine, i.item FROM (SELECT DISTINCT cuisine FROM recipes) c
+                  CROSS JOIN (SELECT DISTINCT item FROM ex) i),
+         prev AS (
+           SELECT g.cuisine, g.item,
+                  CAST(coalesce(p.m, 0) AS DOUBLE) / per_c.n AS prevalence
+           FROM grid g
+           LEFT JOIN pairs p ON p.cuisine = g.cuisine AND p.item = g.item
+           JOIN per_c ON per_c.cuisine = g.cuisine),
+         sums AS (SELECT item, sum(prevalence) AS s, count(*) AS k FROM prev GROUP BY item)
+    SELECT prev.cuisine AS cuisine, prev.item AS item,
+           prev.prevalence - (sums.s - prev.prevalence) / (sums.k - 1) AS rel_prevalence
+    FROM prev JOIN sums ON prev.item = sums.item
+    """
+
+  private def exploded(recipes: DataFrame): DataFrame =
+    recipes.select($"id", $"cuisine", explode($"ingredients").as("item")).distinct()
+
+  private def oracleTables(recipes: DataFrame): Seq[(String, DataFrame)] =
+    Seq("recipes" -> recipes.select("id", "cuisine"), "ex" -> exploded(recipes))
+
+  /** Every matrix cell as ((cuisine, item), rel_prevalence). */
+  private def cells(fp: Authenticity.Fingerprints): Map[(String, String), Double] =
+    (for {
+      (c, ci) <- fp.cuisines.zipWithIndex
+      (i, ii) <- fp.items.zipWithIndex
+    } yield (c, i) -> fp.matrix(ci)(ii)).toMap
+
+  test("fingerprints densify items a cuisine never uses (B/y)") {
+    val counts = Authenticity.itemCounts(tiny).as[(String, String, Long)].collect().toSet
+    assert(counts == Set(("A", "x", 3L), ("A", "y", 2L), ("A", "z", 1L), ("B", "x", 1L), ("B", "z", 1L)))
+    val rel = cells(Authenticity.fingerprints(spark, tiny))
+    assert(rel.size == 6)
+    // P_B(y) = 0 is filled in although no (B, y) count exists.
+    assert(math.abs(rel(("B", "y")) - (0.0 - 2.0 / 4)) < 1e-12)
+    assert(math.abs(rel(("A", "y")) - (2.0 / 4 - 0.0)) < 1e-12)
   }
 
   test("relative prevalence on the tiny example (K=2: p - other cuisine's P)") {
-    val rel = Authenticity.relativePrevalence(Authenticity.prevalence(tiny)).collect()
-      .map(r => (r.getAs[String]("cuisine"), r.getAs[String]("item")) ->
-        r.getAs[Double]("rel_prevalence")).toMap
-    assert(math.abs(rel(("A", "x")) - (0.75 - 0.5)) < 1e-12)
-    assert(math.abs(rel(("B", "x")) - (0.5 - 0.75)) < 1e-12)
-    assert(math.abs(rel(("A", "y")) - 0.5) < 1e-12)
-    assert(math.abs(rel(("B", "y")) + 0.5) < 1e-12)
+    val rel = cells(Authenticity.fingerprints(spark, tiny))
+    val pA = Map("x" -> 3.0 / 4, "y" -> 2.0 / 4, "z" -> 1.0 / 4)
+    val pB = Map("x" -> 1.0 / 2, "y" -> 0.0, "z" -> 1.0 / 2)
+    Seq("x", "y", "z").foreach { i =>
+      assert(math.abs(rel(("A", i)) - (pA(i) - pB(i))) < 1e-12, s"A/$i")
+      assert(math.abs(rel(("B", i)) - (pB(i) - pA(i))) < 1e-12, s"B/$i")
+    }
   }
 
-  test("prevalence is oracle-checked against DuckDB on generated data") {
-    val exploded = gen.select($"id", $"cuisine", explode($"ingredients").as("item")).distinct()
-    val got = Authenticity.prevalence(gen)
+  test("item counts are oracle-checked against DuckDB on generated data") {
     Oracle.assertEquivalent(
-      got,
-      """
-      WITH per_c AS (SELECT cuisine, count(*) AS n FROM recipes GROUP BY cuisine),
-           pairs AS (SELECT cuisine, item, count(*) AS m FROM ex GROUP BY cuisine, item),
-           grid AS (SELECT c.cuisine, i.item FROM (SELECT DISTINCT cuisine FROM recipes) c
-                    CROSS JOIN (SELECT DISTINCT item FROM ex) i)
-      SELECT g.cuisine AS cuisine, g.item AS item,
-             CAST(coalesce(p.m, 0) AS DOUBLE) / per_c.n AS prevalence
-      FROM grid g
-      LEFT JOIN pairs p ON p.cuisine = g.cuisine AND p.item = g.item
-      JOIN per_c ON per_c.cuisine = g.cuisine
-      """,
-      "recipes" -> gen.select("id", "cuisine"),
-      "ex" -> exploded,
+      Authenticity.itemCounts(gen),
+      "SELECT cuisine, item, count(*) AS n_with_item FROM ex GROUP BY cuisine, item",
+      "ex" -> exploded(gen),
     )
+  }
+
+  test("fingerprints equal the DuckDB relative-prevalence SQL on generated data to 1e-12") {
+    val fp = Authenticity.fingerprints(spark, gen)
+    val (_, rows) = Oracle.query(relPrevalenceSql, oracleTables(gen): _*)
+    val expected = rows.map(r => (r.getString(0), r.getString(1)) -> r.getDouble(2)).toMap
+    val got = cells(fp)
+    assert(got.keySet == expected.keySet)
+    val worst = got.map { case (k, v) => math.abs(v - expected(k)) }.max
+    assert(worst < 1e-12, s"worst cell difference: $worst")
   }
 
   test("relative prevalence sums to zero across cuisines for every item") {
-    val rel = Authenticity.relativePrevalence(Authenticity.prevalence(gen))
-    val sums = rel.groupBy("item").agg(sum("rel_prevalence").as("s"))
-      .agg(max(abs(col("s"))).as("worst")).collect().head.getDouble(0)
-    assert(sums < 1e-9, s"worst per-item sum: $sums")
+    val fp = Authenticity.fingerprints(spark, gen)
+    val worst = fp.items.indices.map(j => math.abs(fp.matrix.map(_(j)).sum)).max
+    assert(worst < 1e-9, s"worst per-item sum: $worst")
   }
 
   test("relative prevalence is oracle-checked against DuckDB on the tiny example") {
-    val got = Authenticity.relativePrevalence(Authenticity.prevalence(tiny))
-      .select("cuisine", "item", "rel_prevalence")
-    val exploded = tiny.select($"id", $"cuisine", explode($"ingredients").as("item")).distinct()
-    Oracle.assertEquivalent(
-      got,
-      """
-      WITH per_c AS (SELECT cuisine, count(*) AS n FROM recipes GROUP BY cuisine),
-           pairs AS (SELECT cuisine, item, count(*) AS m FROM ex GROUP BY cuisine, item),
-           grid AS (SELECT c.cuisine, i.item FROM (SELECT DISTINCT cuisine FROM recipes) c
-                    CROSS JOIN (SELECT DISTINCT item FROM ex) i),
-           prev AS (
-             SELECT g.cuisine, g.item,
-                    CAST(coalesce(p.m, 0) AS DOUBLE) / per_c.n AS prevalence
-             FROM grid g
-             LEFT JOIN pairs p ON p.cuisine = g.cuisine AND p.item = g.item
-             JOIN per_c ON per_c.cuisine = g.cuisine),
-           sums AS (SELECT item, sum(prevalence) AS s, count(*) AS k FROM prev GROUP BY item)
-      SELECT prev.cuisine AS cuisine, prev.item AS item,
-             prev.prevalence - (sums.s - prev.prevalence) / (sums.k - 1) AS rel_prevalence
-      FROM prev JOIN sums ON prev.item = sums.item
-      """,
-      "recipes" -> tiny.select("id", "cuisine"),
-      "ex" -> exploded,
-    )
+    val got = cells(Authenticity.fingerprints(spark, tiny)).toSeq
+      .map { case ((c, i), v) => (c, i, v) }.toDF("cuisine", "item", "rel_prevalence")
+    Oracle.assertEquivalent(got, relPrevalenceSql, oracleTables(tiny): _*)
   }
 
-  test("relativePrevalence requires at least two cuisines") {
+  test("fingerprints require at least two cuisines") {
     val one = tiny.filter($"cuisine" === "A")
-    intercept[IllegalArgumentException](
-      Authenticity.relativePrevalence(Authenticity.prevalence(one)).collect())
+    intercept[IllegalArgumentException](Authenticity.fingerprints(spark, one))
   }
 
   test("fingerprints build a dense, deterministically ordered matrix") {

@@ -57,4 +57,10 @@ class PatternFeaturesSpec extends AnyFunSuite {
     val f = PatternFeatures.fromPatterns(Seq(cp("B", Seq(Seq("x"))), cp("A", Seq(Seq("x")))))
     assert(f.cuisines == IndexedSeq("B", "A"))
   }
+
+  test("vectorOf rejects an unknown cuisine") {
+    val f = PatternFeatures.fromPatterns(Seq(cp("A", Seq(Seq("x")))))
+    val e = intercept[IllegalArgumentException](f.vectorOf("Atlantis"))
+    assert(e.getMessage.contains("unknown cuisine: Atlantis"))
+  }
 }

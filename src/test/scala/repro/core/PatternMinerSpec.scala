@@ -1,9 +1,11 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.fpm.BruteForce
-import repro.fpm.Itemsets
+import repro.fpm.{FPGrowth, Itemsets}
 import repro.recipedb.{CuisineSpecs, RecipeGen}
 
 class PatternMinerSpec extends SparkSpec {
@@ -23,15 +25,51 @@ class PatternMinerSpec extends SparkSpec {
     }
   }
 
-  test("per-cuisine mining equals local single-tree FP-Growth on the same transactions") {
-    // BruteForce would blow up on ~23 frequent items per transaction; the
-    // local miner is itself brute-force-validated in FPTreeSpec.
-    Seq("Korean", "Greek").foreach { c =>
-      val tx: Seq[Seq[String]] = recipes.filter($"cuisine" === c).select("items")
-        .as[Seq[String]].collect().toSeq
-      val local = repro.fpm.FPGrowth.mineLocal(tx, PatternMiner.PaperMinSupport)
-      val got = mined.find(_.cuisine == c).get.itemsets
-      assert(Itemsets.diff(got, local).isEmpty, c)
+  test("per-cuisine mining equals distributed PFP on every cuisine") {
+    // The program mines with FPGrowth.mineLocal; the independent oracle is
+    // the distributed FPGrowth.mine (checked against MLlib, Apriori and
+    // brute force in FPGrowthSpec). BruteForce itself would blow up on ~23
+    // frequent items per transaction.
+    val cuisines = recipes.select("cuisine").distinct().as[String].collect().sorted
+    assert(mined.map(_.cuisine) == cuisines.toSeq)
+    cuisines.zip(mined).foreach { case (c, cp) =>
+      val tx = recipes.filter($"cuisine" === c).select("items").as[Seq[String]]
+      val pfp = FPGrowth.mine(tx, PatternMiner.PaperMinSupport).collect().toSeq
+      val d = Itemsets.diff(cp.itemsets, pfp)
+      assert(d.isEmpty, s"$c: ${d.take(5)}")
+      assert(cp.nRecipes == tx.count(), c)
+    }
+  }
+
+  test("all cuisines are mined in fewer Spark jobs than there are cuisines") {
+    // Guards against a return to one mining job (or more) per cuisine.
+    val sc = spark.sparkContext
+    val tag = "repro.test.span"
+    val jobs = new AtomicInteger(0)
+    val markerSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(tag)) match {
+          case Some("mine") => jobs.incrementAndGet()
+          case Some("marker") => markerSeen.countDown()
+          case _ =>
+        }
+    }
+    recipes.count() // materialise the cache outside the counted jobs
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(tag, "mine")
+      val out = PatternMiner.minePerCuisine(recipes)
+      // Listener events arrive in order: once the marker job is seen, every
+      // mining job has been seen too.
+      sc.setLocalProperty(tag, "marker")
+      spark.range(1).count()
+      assert(markerSeen.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+      assert(out.size == CuisineSpecs.all.size)
+      assert(jobs.get > 0 && jobs.get < out.size, s"${jobs.get} Spark jobs for ${out.size} cuisines")
+    } finally {
+      sc.setLocalProperty(tag, null)
+      sc.removeSparkListener(listener)
     }
   }
 
@@ -80,5 +118,8 @@ class PatternMinerSpec extends SparkSpec {
     val loose = mined.find(_.cuisine == "Greek").get
     assert(strict.head.nPatterns < loose.nPatterns)
     strict.head.itemsets.foreach(fi => assert(fi.support >= 0.5))
+    Seq(0.0, 1.5).foreach { bad =>
+      intercept[IllegalArgumentException](PatternMiner.minePerCuisine(recipes, minSupport = bad))
+    }
   }
 }

@@ -130,12 +130,6 @@ class FPGrowthSpec extends SparkSpec {
     }
   }
 
-  test("mineColumn works on a DataFrame with an array column") {
-    val df = small.toDF("stuff")
-    val got = FPGrowth.mineColumn(df, "stuff", 0.4).collect().toSeq
-    assert(Itemsets.diff(got, BruteForce.mine(small, 0.4)).isEmpty)
-  }
-
   test("handles item universes larger than numGroups") {
     val tx = (0 until 50).map(i => Seq(s"i${i % 10}", s"i${(i + 1) % 10}"))
     val got = FPGrowth.mine(tx.toDS(), 0.1, numGroups = 3).collect().toSeq

@@ -42,15 +42,6 @@ class FPTreeSpec extends AnyFunSuite {
     assert(got == Seq((List("a", "b"), 2L), (List("a", "b", "c"), 1L)))
   }
 
-  test("merge equals adding the union of transactions") {
-    val t1 = new FPTree[String].add(Seq("a", "b")).add(Seq("a"))
-    val t2 = new FPTree[String].add(Seq("b", "c"))
-    t1.merge(t2)
-    assert(t1.itemCount("a") == 2)
-    assert(t1.itemCount("b") == 2)
-    assert(t1.itemCount("c") == 1)
-  }
-
   test("classic Han et al. example mines the known frequent itemsets") {
     // Transactions from the FP-Growth paper (minCount 3), items pre-sorted
     // by global frequency: f(4) c(4) a(3) b(3) m(3) p(3).
