@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Pipeline
-import repro.jobs.ClusterJob
+import repro.jobs.ReproJob
 
 /** Reproduces the clustering evaluation (Figs 2–6 rendered as text + the
   * §VII validation narrative, quantified): HAC over mined patterns under
@@ -11,13 +11,13 @@ import repro.jobs.ClusterJob
   */
 class ClusteringBench extends SparkSpec {
 
-  private val sf = sys.env.getOrElse("REPRO_BENCH_SF", "1.0").toDouble
+  private val sf = BenchRun.sf
 
-  private lazy val res: Pipeline.Results = Pipeline.runAtScale(spark, sf)
+  private lazy val res: Pipeline.Results = BenchRun.results
 
   test(s"FIGS 2-6: cluster all cuisines at SF=$sf and print dendrograms") {
     println(s"\n=== Clustering reproduction (SF=$sf) ===")
-    println(ClusterJob.render(res))
+    println(ReproJob.renderTrees(res))
     assert(res.cuisines.size == 26)
   }
 

@@ -2,9 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.cluster.KMeans
-import repro.core.{PatternFeatures, PatternMiner}
-import repro.jobs.ElbowJob
-import repro.recipedb.RecipeGen
+import repro.jobs.ReproJob
 
 /** Reproduces Figure 1 (elbow method): k-means WCSS on the pattern feature
   * vectors for k = 1..10. The paper's point is negative — no sharp elbow
@@ -12,17 +10,14 @@ import repro.recipedb.RecipeGen
   */
 class ElbowBench extends SparkSpec {
 
-  private val sf = sys.env.getOrElse("REPRO_BENCH_SF", "1.0").toDouble
+  private val sf = BenchRun.sf
 
-  private lazy val wcss: Seq[(Int, Double)] = {
-    val recipes = RecipeGen.recipes(spark, sf)
-    val features = PatternFeatures.fromPatterns(PatternMiner.minePerCuisine(recipes))
-    KMeans.elbow(features.matrix, 1 to 10)
-  }
+  private lazy val wcss: Seq[(Int, Double)] =
+    KMeans.elbow(BenchRun.results.features.matrix, 1 to 10)
 
   test(s"FIG 1: WCSS sweep for k=1..10 at SF=$sf") {
     println(s"\n=== Elbow reproduction (SF=$sf) ===")
-    println(ElbowJob.render(wcss))
+    println(ReproJob.renderElbow(wcss))
     assert(wcss.map(_._1) == (1 to 10))
   }
 

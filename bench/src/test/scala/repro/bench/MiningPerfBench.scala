@@ -16,7 +16,7 @@ class MiningPerfBench extends SparkSpec {
 
   import spark.implicits._
 
-  private val sf = sys.env.getOrElse("REPRO_BENCH_SF", "1.0").toDouble
+  private val sf = BenchRun.sf
 
   private lazy val transactions = {
     val recipes = RecipeGen.recipes(spark, sf)

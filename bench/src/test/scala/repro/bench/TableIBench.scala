@@ -1,26 +1,21 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.PatternMiner
 import repro.jobs.TableIJob
-import repro.recipedb.{CuisineSpecs, RecipeGen}
+import repro.recipedb.CuisineSpecs
 
 /** Reproduces Table I (the paper's only table): per-cuisine FP-Growth at
   * support 0.2 over the full synthetic RecipeDB.
   *
-  * Scale factor comes from REPRO_BENCH_SF (default 1.0 = Table I recipe
-  * counts exactly). Prints the paper-vs-measured table — the run that feeds
+  * Reads the shared `BenchRun` (REPRO_BENCH_SF, default 1.0 = Table I
+  * recipe counts exactly). Prints the paper-vs-measured table — the run that feeds
   * EXPERIMENTS.md — and asserts the reproduction-shape properties.
   */
 class TableIBench extends SparkSpec {
 
-  private val sf = sys.env.getOrElse("REPRO_BENCH_SF", "1.0").toDouble
+  private val sf = BenchRun.sf
 
-  private lazy val mined: Seq[PatternMiner.CuisinePatterns] = {
-    val recipes = RecipeGen.recipes(spark, sf)
-    PatternMiner.minePerCuisine(recipes)
-  }
-  private lazy val rows = TableIJob.rows(mined)
+  private lazy val rows = TableIJob.rows(BenchRun.results.patterns)
 
   test(s"TABLE I: mine all 26 cuisines at SF=$sf and print paper-vs-measured") {
     println(s"\n=== TABLE I reproduction (SF=$sf) ===")

@@ -1,16 +1,13 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.PatternMiner
 import repro.fpm.Itemsets
-import repro.recipedb.{CuisineSpecs, RecipeGen}
+import repro.recipedb.CuisineSpecs
 
-/** Regenerates Table I ("Significant patterns mined from cuisines across
+/** Table I ("Significant patterns mined from cuisines across
   * the world"): per cuisine, the recipe count, the paper's named pattern(s)
   * with measured support, the measured frequent-pattern count, and our top
-  * maximal patterns.
-  *
-  * Usage: spark-submit ... repro.jobs.TableIJob [sf]   (default sf = 1.0)
+  * maximal patterns. `ReproJob` prints it.
   */
 object TableIJob {
 
@@ -51,17 +48,5 @@ object TableIJob {
       f"${r.cuisine}%-24s ${r.nRecipes}%9d  ${r.namedPattern}%-34s ${r.paperSupport}%7.2f $s ${r.paperPatternCount}%7d ${r.measuredPatternCount}%7d  ${r.topMaximal}"
     }
     (header +: lines).mkString("\n")
-  }
-
-  def main(args: Array[String]): Unit = {
-    val sf = if (args.nonEmpty) args(0).toDouble else 1.0
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("table-i").getOrCreate()
-    try {
-      val recipes = RecipeGen.recipes(spark, sf)
-      val mined = PatternMiner.minePerCuisine(recipes)
-      println(render(rows(mined)))
-    } finally spark.stop()
   }
 }

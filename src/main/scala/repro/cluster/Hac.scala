@@ -16,14 +16,6 @@ object Hac {
   case object Average  extends Linkage { val name = "average" }
   case object Ward     extends Linkage { val name = "ward" }
 
-  def linkageByName(name: String): Linkage = name.toLowerCase match {
-    case "single"   => Single
-    case "complete" => Complete
-    case "average"  => Average
-    case "ward"     => Ward
-    case other      => throw new IllegalArgumentException(s"unknown linkage: $other")
-  }
-
   def cluster(dist: DistMatrix, linkage: Linkage = Average): Dendrogram = {
     val n = dist.n
     require(n >= 1, "need at least one observation")

@@ -59,6 +59,7 @@ object TreeCompare {
     */
   def meanFowlkesMallows(x: Dendrogram, y: Dendrogram, ks: Seq[Int]): Double = {
     require(x.nLeaves == y.nLeaves, "dendrograms must share the leaf set")
+    require(ks.nonEmpty, "need at least one cut k")
     val vals = ks.map(k => fowlkesMallows(x.cut(k), y.cut(k)))
     vals.sum / vals.size
   }

@@ -23,10 +23,13 @@ object Pipeline {
       geoTree: Dendrogram,
       geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs geo tree
   ) {
-    def tree(metricOrAuth: String): Dendrogram =
-      if (metricOrAuth == "authenticity") authTree
-      else if (metricOrAuth == "geo") geoTree
-      else patternTrees(metricOrAuth)
+    def tree(name: String): Dendrogram = name match {
+      case "authenticity" => authTree
+      case "geo" => geoTree
+      case metric =>
+        require(patternTrees.contains(metric), s"unknown tree: $name")
+        patternTrees(metric)
+    }
 
     def leafIndex(cuisine: String): Int = {
       val i = cuisines.indexOf(cuisine)
@@ -35,25 +38,25 @@ object Pipeline {
     }
   }
 
-  /** Run everything on an existing recipes DataFrame. */
-  def run(spark: SparkSession, recipes: DataFrame,
-          minSupport: Double = PatternMiner.PaperMinSupport,
-          linkage: Hac.Linkage = Hac.Average): Results = {
-    val patterns = PatternMiner.minePerCuisine(recipes, minSupport)
+  /** Run everything on an existing recipes DataFrame, at the paper's
+    * settings: minimum support 0.2 and average linkage.
+    */
+  def run(spark: SparkSession, recipes: DataFrame): Results = {
+    val patterns = PatternMiner.minePerCuisine(recipes, PatternMiner.PaperMinSupport)
     val features = PatternFeatures.fromPatterns(patterns)
     val cuisines = features.cuisines
     val vectors = features.matrix.toSeq
 
     val patternTrees = Metrics.map { m =>
-      m -> Hac.cluster(Distance.pdist(vectors, Distance.byName(m)), linkage)
+      m -> Hac.cluster(Distance.pdist(vectors, Distance.byName(m)), Hac.Average)
     }.toMap
 
     val fp = Authenticity.fingerprints(spark, recipes)
     require(fp.cuisines == cuisines,
       s"cuisine order mismatch: ${fp.cuisines} vs $cuisines")
-    val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean), linkage)
+    val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean), Hac.Average)
 
-    val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines), linkage)
+    val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines), Hac.Average)
 
     val ks = 2 to math.min(12, cuisines.size - 1)
     val sims = (Metrics.map(m => m -> patternTrees(m)) :+ ("authenticity" -> authTree)).map {

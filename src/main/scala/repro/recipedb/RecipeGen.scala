@@ -1,6 +1,6 @@
 package repro.recipedb
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** One generated recipe: the unit of analysis throughout the paper. */
 final case class Recipe(
@@ -78,11 +78,7 @@ object RecipeGen {
   /** The full synthetic RecipeDB at a scale factor, as a DataFrame with
     * columns (id, cuisine, ingredients, processes, utensils, items).
     */
-  def recipes(spark: SparkSession, sf: Double = 0.05, seed: Long = 42): DataFrame =
-    recipesDs(spark, sf, seed).toDF()
-
-  /** Typed variant of [[recipes]]. */
-  def recipesDs(spark: SparkSession, sf: Double = 0.05, seed: Long = 42): Dataset[Recipe] = {
+  def recipes(spark: SparkSession, sf: Double = 0.05, seed: Long = 42): DataFrame = {
     import spark.implicits._
     val ranges = cuisineRanges(sf)
     val pool = rarePoolSize(sf)
@@ -90,13 +86,10 @@ object RecipeGen {
     // ranges is small (26 entries); ship it via closure.
     spark.range(total).as[Long].mapPartitions { ids =>
       ids.map { id =>
-        val (spec, start, _) = ranges.find { case (_, s, e) => id >= s && id < e }.get
-        // per-cuisine-local id keeps draws independent of other cuisines'
-        // sizes only through the global id — fine either way; use global id.
-        val _ = start
+        val (spec, _, _) = ranges.find { case (_, s, e) => id >= s && id < e }.get
         genRecipe(spec, id, seed, pool)
       }
-    }
+    }.toDF()
   }
 
   /** Exploded (recipe id, cuisine, item) pairs — the shape the DuckDB

@@ -1,8 +1,28 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 
 class HacSpec extends AnyFunSuite {
+
+  private def check(p: Prop): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), p)
+    assert(res.passed, res.status.toString)
+  }
+
+  private val linkages = Seq(Hac.Single, Hac.Complete, Hac.Average, Hac.Ward)
+
+  // Euclidean distances between random points, kept only when no two pairs
+  // are equidistant, so no merge depends on the tie-break.
+  private val tieFreeGen: Gen[DistMatrix] = (for {
+    n <- Gen.choose(2, 12)
+    dim <- Gen.choose(1, 4)
+    pts <- Gen.listOfN(n, Gen.listOfN(dim, Gen.choose(-10.0, 10.0)).map(_.toArray))
+  } yield Distance.pdist(pts, Distance.euclidean))
+    .suchThat(d => d.condensed.distinct.length == d.condensed.length)
+
+  private def close(a: Double, b: Double): Boolean =
+    math.abs(a - b) <= 1e-9 * math.max(1.0, math.abs(a))
 
   // Four points on a line: 0, 1, 10, 12 — distances are unambiguous.
   private val line = Distance.pdist(
@@ -66,7 +86,7 @@ class HacSpec extends AnyFunSuite {
     val rnd = new scala.util.Random(11)
     val pts = Seq.fill(10)(Array.fill(4)(rnd.nextDouble()))
     val d = Distance.pdist(pts, Distance.euclidean)
-    Seq(Hac.Single, Hac.Complete, Hac.Average, Hac.Ward).foreach { l =>
+    linkages.foreach { l =>
       val dend = Hac.cluster(d, l)
       val hs = dend.merges.map(_.height)
       assert(hs.zip(hs.tail).forall { case (a, b) => b >= a - 1e-9 }, l.name)
@@ -134,9 +154,50 @@ class HacSpec extends AnyFunSuite {
     assert(a.head == Merge(0, 1, 1.0, 2), "first-index tie break")
   }
 
-  test("linkageByName resolves names") {
-    assert(Hac.linkageByName("ward") == Hac.Ward)
-    assert(Hac.linkageByName("Average") == Hac.Average)
-    intercept[IllegalArgumentException](Hac.linkageByName("centroid"))
+  test("permuting the leaves permutes the cophenetic matrix and keeps the merge heights") {
+    val gen = for {
+      d <- tieFreeGen
+      seed <- Gen.long
+    } yield (d, new scala.util.Random(seed).shuffle((0 until d.n).toVector))
+    linkages.foreach { l =>
+      check(Prop.forAll(gen) { case (d, p) =>
+        val n = d.n
+        val permuted = Distance.fromFull(Array.tabulate(n, n)((i, j) => d(p(i), p(j))))
+        val a = Hac.cluster(d, l)
+        val b = Hac.cluster(permuted, l)
+        a.merges.map(_.height).zip(b.merges.map(_.height)).forall { case (x, y) => close(x, y) } &&
+          (for (i <- 0 until n; j <- i + 1 until n)
+            yield close(b.copheneticOf(i, j), a.copheneticOf(p(i), p(j)))).forall(identity)
+      }.label(l.name))
+    }
+  }
+
+  test("scaling every distance by c > 0 scales every height by c and keeps the merges") {
+    val gen = for { d <- tieFreeGen; c <- Gen.choose(0.01, 100.0) } yield (d, c)
+    linkages.foreach { l =>
+      check(Prop.forAll(gen) { case (d, c) =>
+        val a = Hac.cluster(d, l)
+        val b = Hac.cluster(d.map(_ * c), l)
+        a.merges.map(m => (m.a, m.b, m.size)) == b.merges.map(m => (m.a, m.b, m.size)) &&
+          a.merges.zip(b.merges).forall { case (x, y) => close(c * x.height, y.height) }
+      }.label(l.name))
+    }
+  }
+
+  test("single-linkage heights are the sorted minimum-spanning-tree edge weights (Gower & Ross 1969)") {
+    // Prim's algorithm on the complete graph of the distance matrix.
+    def mstWeights(d: DistMatrix): Seq[Double] = {
+      val inTree = Array.tabulate(d.n)(_ == 0)
+      val best = Array.tabulate(d.n)(d(0, _))
+      (1 until d.n).map { _ =>
+        val v = (0 until d.n).filterNot(inTree).minBy(best(_))
+        inTree(v) = true
+        (0 until d.n).foreach(u => if (!inTree(u)) best(u) = math.min(best(u), d(v, u)))
+        best(v)
+      }.sorted
+    }
+    check(Prop.forAll(tieFreeGen) { d =>
+      Hac.cluster(d, Hac.Single).merges.map(_.height) == mstWeights(d)
+    })
   }
 }

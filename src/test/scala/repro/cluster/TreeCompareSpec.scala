@@ -64,6 +64,11 @@ class TreeCompareSpec extends AnyFunSuite {
     assert(TreeCompare.meanFowlkesMallows(tree, tree, 2 to 3) == 1.0)
   }
 
+  test("meanFowlkesMallows rejects an empty set of cuts instead of returning NaN") {
+    val e = intercept[IllegalArgumentException](TreeCompare.meanFowlkesMallows(tree, tree, 2 to 1))
+    assert(e.getMessage.contains("at least one cut"))
+  }
+
   test("meanFowlkesMallows distinguishes similar from dissimilar trees") {
     // tree2 groups {0,2} vs {1,3} — structurally opposed to `tree`
     val d2 = Distance.pdist(

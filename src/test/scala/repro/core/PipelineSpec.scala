@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.cluster.Hac
 
 class PipelineSpec extends SparkSpec {
 
@@ -36,6 +35,8 @@ class PipelineSpec extends SparkSpec {
     assert(res.tree("euclidean") eq res.patternTrees("euclidean"))
     assert(res.tree("authenticity") eq res.authTree)
     assert(res.tree("geo") eq res.geoTree)
+    val e = intercept[IllegalArgumentException](res.tree("nope"))
+    assert(e.getMessage.contains("unknown tree: nope"))
   }
 
   test("leafIndex resolves cuisines and rejects unknowns") {
@@ -51,12 +52,6 @@ class PipelineSpec extends SparkSpec {
     res.patternTrees.values.foreach { t =>
       assert(t.merges.last.height > 0.0)
     }
-  }
-
-  test("the linkage parameter is honoured") {
-    val single = Pipeline.run(spark,
-      repro.recipedb.RecipeGen.recipes(spark, 0.005), linkage = Hac.Single)
-    assert(single.patternTrees("euclidean").nLeaves == 26)
   }
 
   test("East Asian cuisines are cophenetically close in the authenticity tree") {

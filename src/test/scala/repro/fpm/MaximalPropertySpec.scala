@@ -58,17 +58,4 @@ class MaximalPropertySpec extends AnyFunSuite {
       top.foreach(fi => assert(maximalSets.contains(fi.items.toSet)))
     }
   }
-
-  test("association rules derived from mined itemsets respect support monotonicity") {
-    (1 to 10).foreach { seed =>
-      val mined = randomMined(seed)
-      val bySet = Itemsets.toMap(mined)
-      AssociationRules.fromItemsets(mined).foreach { r =>
-        val full = r.antecedent.toSet + r.consequent
-        val expected = bySet(full) / bySet(r.antecedent.toSet)
-        assert(math.abs(r.confidence - expected) < 1e-12)
-        assert(r.confidence >= bySet(full) - 1e-12) // conf >= supp(S)
-      }
-    }
-  }
 }

@@ -1,9 +1,9 @@
 package repro.jobs
 
 import repro.SparkSpec
-import repro.core.{PatternFeatures, PatternMiner, Pipeline}
+import repro.core.Pipeline
 import repro.cluster.KMeans
-import repro.recipedb.{CuisineSpecs, RecipeGen}
+import repro.recipedb.CuisineSpecs
 
 /** The jobs' pure rendering/aggregation functions, driven at small scale —
   * the same code paths `spark-submit` users hit, minus `main`'s session
@@ -11,8 +11,9 @@ import repro.recipedb.{CuisineSpecs, RecipeGen}
   */
 class JobsSpec extends SparkSpec {
 
-  private lazy val recipes = RecipeGen.recipes(spark, 0.01).cache()
-  private lazy val mined = PatternMiner.minePerCuisine(recipes)
+  // One pipeline run at small scale, shared by the tests below.
+  private lazy val res = Pipeline.runAtScale(spark, 0.01)
+  private lazy val mined = res.patterns
 
   test("TableIJob.rows produces one row per named pattern in Table I order") {
     val rows = TableIJob.rows(mined)
@@ -40,21 +41,23 @@ class JobsSpec extends SparkSpec {
     assert(TableIJob.render(rows).contains("MISS"))
   }
 
-  test("ElbowJob.render formats the sweep") {
-    val features = PatternFeatures.fromPatterns(mined)
-    val sweep = KMeans.elbow(features.matrix, 1 to 3)
-    val out = ElbowJob.render(sweep)
+  test("ReproJob.renderElbow formats the sweep") {
+    val sweep = KMeans.elbow(res.features.matrix, 1 to 3)
+    val out = ReproJob.renderElbow(sweep)
     assert(out.linesIterator.size == 4)
     assert(out.contains("WCSS"))
   }
 
-  test("ClusterJob.render includes every tree section and the similarity table") {
-    val res = Pipeline.run(spark, recipes)
-    val out = ClusterJob.render(res)
+  test("ReproJob.render prints Table I, WCSS, all five trees and Fowlkes–Mallows") {
+    val out = ReproJob.render(res)
+    assert(out.contains("== Table I =="))
+    assert(out.contains(TableIJob.render(TableIJob.rows(res.patterns))))
+    assert(out.contains(ReproJob.renderElbow(KMeans.elbow(res.features.matrix, 1 to 10))))
     Seq("patterns/euclidean", "patterns/cosine", "patterns/jaccard",
-      "authenticity", "geography", "Fowlkes").foreach { section =>
-      assert(out.contains(section), section)
+      "authenticity", "geography").foreach { tree =>
+      assert(out.contains(s"== HAC ($tree) =="), tree)
     }
+    assert(out.contains("Mean Fowlkes–Mallows similarity vs geography tree"))
     // 5 trees, each rendered as newick (one ';') per section
     assert(out.count(_ == ';') >= 5)
   }

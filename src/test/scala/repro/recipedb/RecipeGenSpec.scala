@@ -134,11 +134,4 @@ class RecipeGenSpec extends SparkSpec {
     assert(a.cuisine == "Thai")
     assert(a.items.toSet == (a.ingredients ++ a.processes ++ a.utensils).toSet)
   }
-
-  test("SynthData.recipes delegates to the generator") {
-    val via = repro.SynthData.recipes(spark, 0.005)
-    assert(via.columns.toSeq ==
-      Seq("id", "cuisine", "ingredients", "processes", "utensils", "items"))
-    assert(via.count() == RecipeGen.totalRecipes(0.005))
-  }
 }
