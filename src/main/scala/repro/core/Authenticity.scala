@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** §V.B of the paper: authenticity-based cuisine fingerprints, after Ahn et
   * al.'s flavor-network metric.
@@ -15,23 +15,44 @@ import org.apache.spark.sql.functions._
   * DESIGN.md errata). The mean over k ≠ c includes cuisines where the item
   * never occurs (P = 0), so the matrix is dense over cuisines × items.
   *
-  * Spark computes only the two counts, N_c and n_i^c, each as one
-  * aggregation collected to the driver; `n_i^c` is oracle-checked against
+  * Spark computes only the two counts, N_c and n_i^c, in one pass with the
+  * shape [[PatternMiner.minePerCuisine]] uses: the recipes are grouped by
+  * cuisine and each task counts its cuisine's rows, returning one small
+  * [[CuisineCounts]] to the driver. Both counts are oracle-checked against
   * DuckDB in the test suite. The dense cuisines × items matrix (26 × ~20k
   * doubles, about 4 MB, at SF=1) is filled in on the driver.
   */
 object Authenticity {
 
-  /** (cuisine, item, n_with_item): the number of recipes of each cuisine
-    * that contain each item at least once. Pairs with no such recipe are
-    * absent.
+  /** N_c and n_i^c of one cuisine: `withItem(i)` is the number of recipes
+    * that contain item i at least once; items no recipe contains are absent.
     */
-  def itemCounts(recipes: DataFrame, itemsCol: String = "ingredients"): DataFrame =
-    recipes
-      .select(col("id"), col("cuisine"), explode(col(itemsCol)).as("item"))
-      .distinct() // recipe-level presence, robust to duplicate items
-      .groupBy("cuisine", "item")
-      .agg(count(lit(1)).as("n_with_item"))
+  final case class CuisineCounts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
+
+  /** One [[CuisineCounts]] per cuisine present in `recipes`, sorted by
+    * cuisine. Fails if a recipe's `itemsCol` array is null.
+    */
+  def itemCounts(recipes: DataFrame, itemsCol: String = "ingredients"): Seq[CuisineCounts] = {
+    val spark = recipes.sparkSession
+    import spark.implicits._
+    recipes.select(recipes("cuisine"), recipes(itemsCol))
+      .as[(String, Seq[String])]
+      .groupByKey(_._1)
+      .mapGroups { (cuisine, rows) =>
+        val withItem = mutable.HashMap.empty[String, Long]
+        var n = 0L
+        rows.foreach { case (_, items) =>
+          require(items != null, s"null $itemsCol array in a recipe of cuisine $cuisine")
+          n += 1
+          // recipe-level presence, robust to duplicate items
+          items.distinct.foreach(i => withItem(i) = withItem.getOrElse(i, 0L) + 1)
+        }
+        CuisineCounts(cuisine, n, withItem.toMap)
+      }
+      .collect()
+      .sortBy(_.cuisine)
+      .toSeq
+  }
 
   final case class Fingerprints(
       cuisines: IndexedSeq[String],
@@ -45,21 +66,18 @@ object Authenticity {
     */
   def fingerprints(spark: SparkSession, recipes: DataFrame,
                    itemsCol: String = "ingredients"): Fingerprints = {
-    import spark.implicits._
-    val totals = recipes.groupBy("cuisine").count().as[(String, Long)].collect().sortBy(_._1)
-    val k = totals.length
+    val counts = itemCounts(recipes, itemsCol)
+    val k = counts.length
     require(k >= 2, "relative prevalence needs at least two cuisines")
-    val counts = itemCounts(recipes, itemsCol).as[(String, String, Long)].collect()
 
-    val cuisines = totals.map(_._1).toIndexedSeq
-    val items = counts.map(_._2).distinct.sorted.toIndexedSeq
-    val ci = cuisines.zipWithIndex.toMap
+    val cuisines = counts.map(_.cuisine).toIndexedSeq
+    val items = counts.flatMap(_.withItem.keys).distinct.sorted.toIndexedSeq
     val ii = items.zipWithIndex.toMap
-    val m = Array.fill(k)(new Array[Double](items.size)) // P, zero-filled
-    counts.foreach { case (c, i, n) =>
-      val row = ci(c)
-      m(row)(ii(i)) = n.toDouble / totals(row)._2
-    }
+    val m = counts.map { c => // P, zero-filled
+      val row = new Array[Double](items.size)
+      c.withItem.foreach { case (i, n) => row(ii(i)) = n.toDouble / c.nRecipes }
+      row
+    }.toArray
     val sums = new Array[Double](items.size)
     m.foreach(row => row.indices.foreach(j => sums(j) += row(j)))
     m.foreach(row => row.indices.foreach(j => row(j) -= (sums(j) - row(j)) / (k - 1)))

@@ -33,7 +33,7 @@ object PatternMiner {
   }
 
   /** Mine every cuisine present in `recipes`, one result per cuisine sorted
-    * by cuisine name.
+    * by cuisine name. Fails if a recipe's `itemsCol` array is null.
     *
     * @param itemsCol which item view to mine ("items" = full paper setting)
     */
@@ -49,7 +49,10 @@ object PatternMiner {
       .as[(String, Seq[String])]
       .groupByKey(_._1)
       .mapGroups { (cuisine, rows) =>
-        val tx = rows.map(_._2).toIndexedSeq
+        val tx = rows.map { case (_, items) =>
+          require(items != null, s"null $itemsCol array in a recipe of cuisine $cuisine")
+          items
+        }.toIndexedSeq
         CuisinePatterns(cuisine, tx.size.toLong, FPGrowth.mineLocal(tx, minSupport))
       }
       .collect()

@@ -39,10 +39,14 @@ object Pipeline {
   }
 
   /** Run everything on an existing recipes DataFrame, at the paper's
-    * settings: minimum support 0.2 and average linkage.
+    * settings: minimum support 0.2 and average linkage. Needs at least three
+    * cuisines.
     */
   def run(spark: SparkSession, recipes: DataFrame): Results = {
     val patterns = PatternMiner.minePerCuisine(recipes, PatternMiner.PaperMinSupport)
+    require(patterns.size >= 3,
+      s"need at least three cuisines, got ${patterns.size}: the geography comparison " +
+        "cuts the trees at k = 2..min(12, n - 1)")
     val features = PatternFeatures.fromPatterns(patterns)
     val cuisines = features.cuisines
     val vectors = features.matrix.toSeq

@@ -56,8 +56,10 @@ class AuthenticitySpec extends SparkSpec {
     } yield (c, i) -> fp.matrix(ci)(ii)).toMap
 
   test("fingerprints densify items a cuisine never uses (B/y)") {
-    val counts = Authenticity.itemCounts(tiny).as[(String, String, Long)].collect().toSet
-    assert(counts == Set(("A", "x", 3L), ("A", "y", 2L), ("A", "z", 1L), ("B", "x", 1L), ("B", "z", 1L)))
+    assert(Authenticity.itemCounts(tiny) == Seq(
+      Authenticity.CuisineCounts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
+      Authenticity.CuisineCounts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
+    ))
     val rel = cells(Authenticity.fingerprints(spark, tiny))
     assert(rel.size == 6)
     // P_B(y) = 0 is filled in although no (B, y) count exists.
@@ -76,11 +78,38 @@ class AuthenticitySpec extends SparkSpec {
   }
 
   test("item counts are oracle-checked against DuckDB on generated data") {
+    val counts = Authenticity.itemCounts(gen)
+    val withItem = counts.flatMap(c => c.withItem.map { case (i, n) => (c.cuisine, i, n) })
     Oracle.assertEquivalent(
-      Authenticity.itemCounts(gen),
+      withItem.toDF("cuisine", "item", "n_with_item"),
       "SELECT cuisine, item, count(*) AS n_with_item FROM ex GROUP BY cuisine, item",
       "ex" -> exploded(gen),
     )
+    Oracle.assertEquivalent(
+      counts.map(c => (c.cuisine, c.nRecipes)).toDF("cuisine", "n_recipes"),
+      "SELECT cuisine, count(*) AS n_recipes FROM recipes GROUP BY cuisine",
+      "recipes" -> gen.select("id", "cuisine"),
+    )
+  }
+
+  test("item counts count a recipe once however often it lists an item") {
+    val dup = Seq((0L, "A", Seq("x", "x", "y")), (1L, "A", Seq("x"))).toDF("id", "cuisine", "ingredients")
+    assert(Authenticity.itemCounts(dup) ==
+      Seq(Authenticity.CuisineCounts("A", 2L, Map("x" -> 2L, "y" -> 1L))))
+  }
+
+  test("item counts reject a null item array with the cuisine and column named") {
+    val bad = Seq((0L, "B", Seq("x")), (1L, "B", null: Seq[String])).toDF("id", "cuisine", "ingredients")
+    val e = intercept[Exception](Authenticity.fingerprints(spark, tiny.union(bad)))
+    assert(e.getMessage.contains("null ingredients array in a recipe of cuisine B"), e.getMessage)
+  }
+
+  test("fingerprints run in at most two Spark jobs") {
+    // One grouped pass: a shuffle-map job and the collect job.
+    gen.count() // materialise the cache outside the counted jobs
+    val (fp, jobs) = sparkJobsOf(Authenticity.fingerprints(spark, gen))
+    assert(fp.cuisines.size == 26)
+    assert(jobs > 0 && jobs <= 2, s"$jobs Spark jobs")
   }
 
   test("fingerprints equal the DuckDB relative-prevalence SQL on generated data to 1e-12") {

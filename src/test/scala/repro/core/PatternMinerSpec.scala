@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.fpm.{FPGrowth, Itemsets}
@@ -43,34 +40,16 @@ class PatternMinerSpec extends SparkSpec {
 
   test("all cuisines are mined in fewer Spark jobs than there are cuisines") {
     // Guards against a return to one mining job (or more) per cuisine.
-    val sc = spark.sparkContext
-    val tag = "repro.test.span"
-    val jobs = new AtomicInteger(0)
-    val markerSeen = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).map(_.getProperty(tag)) match {
-          case Some("mine") => jobs.incrementAndGet()
-          case Some("marker") => markerSeen.countDown()
-          case _ =>
-        }
-    }
     recipes.count() // materialise the cache outside the counted jobs
-    sc.addSparkListener(listener)
-    try {
-      sc.setLocalProperty(tag, "mine")
-      val out = PatternMiner.minePerCuisine(recipes)
-      // Listener events arrive in order: once the marker job is seen, every
-      // mining job has been seen too.
-      sc.setLocalProperty(tag, "marker")
-      spark.range(1).count()
-      assert(markerSeen.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
-      assert(out.size == CuisineSpecs.all.size)
-      assert(jobs.get > 0 && jobs.get < out.size, s"${jobs.get} Spark jobs for ${out.size} cuisines")
-    } finally {
-      sc.setLocalProperty(tag, null)
-      sc.removeSparkListener(listener)
-    }
+    val (out, jobs) = sparkJobsOf(PatternMiner.minePerCuisine(recipes))
+    assert(out.size == CuisineSpecs.all.size)
+    assert(jobs > 0 && jobs < out.size, s"$jobs Spark jobs for ${out.size} cuisines")
+  }
+
+  test("a null item array is rejected with the cuisine and column named") {
+    val bad = Seq(("Greek", Seq("x")), ("Greek", null: Seq[String])).toDF("cuisine", "items")
+    val e = intercept[Exception](PatternMiner.minePerCuisine(bad))
+    assert(e.getMessage.contains("null items array in a recipe of cuisine Greek"), e.getMessage)
   }
 
   test("singleton pattern supports are oracle-checked against DuckDB") {

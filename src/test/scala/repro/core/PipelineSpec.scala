@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.recipedb.RecipeGen
 
 class PipelineSpec extends SparkSpec {
 
@@ -60,5 +61,13 @@ class PipelineSpec extends SparkSpec {
     val kr = res.leafIndex("Korean")
     val fr = res.leafIndex("French")
     assert(t.copheneticOf(jp, kr) < t.copheneticOf(jp, fr))
+  }
+
+  test("run rejects fewer than three cuisines before any clustering") {
+    import spark.implicits._
+    val two = RecipeGen.recipes(spark, 0.01).filter($"cuisine".isin("Japanese", "Korean"))
+    val e = intercept[IllegalArgumentException](Pipeline.run(spark, two))
+    assert(e.getMessage.contains("need at least three cuisines, got 2"), e.getMessage)
+    assert(e.getMessage.contains("k = 2..min(12, n - 1)"), e.getMessage)
   }
 }
