@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.fpm.{FPGrowth, FreqItemset}
+import repro.fpm.{FPGrowth, FreqItemset, Itemsets}
 
 /** §IV–V.A of the paper: per-cuisine frequent pattern mining.
   *
@@ -13,9 +13,8 @@ import repro.fpm.{FPGrowth, FreqItemset}
   * cuisine and each group is mined in its task with the single-tree
   * [[FPGrowth.mineLocal]], as the paper mined each cuisine on one machine
   * (Han, Pei & Yin, SIGMOD 2000). The largest cuisine, Italian, has 16.6k
-  * recipes at SF=1, so one group easily fits in a task. The distributed
-  * [[FPGrowth.mine]] splits a single database and serves as the oracle the
-  * test suite checks this path against.
+  * recipes at SF=1, so one group easily fits in a task. The test suite
+  * checks every cuisine against Spark MLlib's FP-Growth.
   */
 object PatternMiner {
 
@@ -26,8 +25,7 @@ object PatternMiner {
       nRecipes: Long,
       itemsets: Seq[FreqItemset],
   ) {
-    lazy val bySet: Map[Set[String], Double] =
-      itemsets.map(fi => fi.items.toSet -> fi.support).toMap
+    lazy val bySet: Map[Set[String], Double] = Itemsets.toMap(itemsets)
     def supportOf(items: Set[String]): Option[Double] = bySet.get(items)
     def nPatterns: Int = itemsets.size
   }

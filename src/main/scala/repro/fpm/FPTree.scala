@@ -10,9 +10,7 @@ import scala.collection.mutable
   * Mining walks suffix items, projects the conditional tree for each, and
   * recurses — no candidate generation.
   *
-  * The miner behind both forms of [[FPGrowth]]: one tree per cuisine in
-  * `FPGrowth.mineLocal` (the production path), one tree per item group in
-  * the distributed `FPGrowth.mine`.
+  * `FPGrowth.mineLocal` builds one tree per cuisine and extracts it.
   */
 class FPTree[T] extends Serializable {
   import FPTree._
@@ -81,14 +79,12 @@ class FPTree[T] extends Serializable {
     } ++ (if (count > 0) Iterator.single((Nil, count)) else Iterator.empty)
   }
 
-  /** All frequent itemsets with count >= minCount whose *suffix* item (the
-    * first element of the emitted list) satisfies `validateSuffix` — the
-    * hook the distributed miner uses so each group emits only the itemsets
-    * it owns, exactly once.
+  /** All frequent itemsets with count >= minCount, each emitted once with
+    * its suffix item (the item whose conditional tree produced it) first.
     */
-  def extract(minCount: Long, validateSuffix: T => Boolean = _ => true): Iterator[(List[T], Long)] =
+  def extract(minCount: Long): Iterator[(List[T], Long)] =
     summaries.iterator.flatMap { case (item, summary) =>
-      if (validateSuffix(item) && summary.count >= minCount) {
+      if (summary.count >= minCount) {
         Iterator.single((item :: Nil, summary.count)) ++
           project(item).extract(minCount).map { case (t, c) => (item :: t, c) }
       } else {

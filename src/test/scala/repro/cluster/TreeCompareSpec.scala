@@ -31,8 +31,14 @@ class TreeCompareSpec extends AnyFunSuite {
   }
 
   test("cophenetic correlation with the source distances is high for clean data") {
+    // Sokal & Rohlf 1962: Pearson r between the cophenetic distances
+    // (1, 10.5, 10.5, 10.5, 10.5, 2) and the distances (1, 10, 12, 9, 11, 2).
     val c = TreeCompare.copheneticCorrelation(tree, line)
-    assert(c > 0.95, c.toString)
+    assert(math.abs(c - math.sqrt(217.0 / 227.0)) < 1e-12, c.toString)
+    // HAC reproduces an ultrametric input exactly, so r = 1.
+    val ultra = DistMatrix(4, Array(1.0, 10.5, 10.5, 10.5, 10.5, 2.0))
+    val r = TreeCompare.copheneticCorrelation(Hac.cluster(ultra, Hac.Average), ultra)
+    assert(math.abs(r - 1.0) < 1e-12, r.toString)
   }
 
   test("fowlkes-mallows of identical labelings is 1") {

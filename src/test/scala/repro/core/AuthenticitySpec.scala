@@ -98,6 +98,12 @@ class AuthenticitySpec extends SparkSpec {
       Seq(Authenticity.CuisineCounts("A", 2L, Map("x" -> 2L, "y" -> 1L))))
   }
 
+  test("item counts count an empty item array as a recipe with no items") {
+    val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "ingredients")
+    assert(Authenticity.itemCounts(df) ==
+      Seq(Authenticity.CuisineCounts("Greek", 2L, Map("x" -> 1L))))
+  }
+
   test("item counts reject a null item array with the cuisine and column named") {
     val bad = Seq((0L, "B", Seq("x")), (1L, "B", null: Seq[String])).toDF("id", "cuisine", "ingredients")
     val e = intercept[Exception](Authenticity.fingerprints(spark, tiny.union(bad)))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.fpm.{FPGrowth, Itemsets}
+import repro.fpm.{FreqItemset, Itemsets, MLlibFPGrowth}
 import repro.recipedb.{CuisineSpecs, RecipeGen}
 
 class PatternMinerSpec extends SparkSpec {
@@ -22,17 +22,15 @@ class PatternMinerSpec extends SparkSpec {
     }
   }
 
-  test("per-cuisine mining equals distributed PFP on every cuisine") {
+  test("per-cuisine mining equals MLlib FP-Growth on every cuisine") {
     // The program mines with FPGrowth.mineLocal; the independent oracle is
-    // the distributed FPGrowth.mine (checked against MLlib, Apriori and
-    // brute force in FPGrowthSpec). BruteForce itself would blow up on ~23
-    // frequent items per transaction.
+    // MLlib's distributed PFP, which shares no code with it. BruteForce
+    // would blow up on ~23 frequent items per transaction.
     val cuisines = recipes.select("cuisine").distinct().as[String].collect().sorted
     assert(mined.map(_.cuisine) == cuisines.toSeq)
     cuisines.zip(mined).foreach { case (c, cp) =>
       val tx = recipes.filter($"cuisine" === c).select("items").as[Seq[String]]
-      val pfp = FPGrowth.mine(tx, PatternMiner.PaperMinSupport).collect().toSeq
-      val d = Itemsets.diff(cp.itemsets, pfp)
+      val d = Itemsets.diff(cp.itemsets, MLlibFPGrowth.mine(tx, PatternMiner.PaperMinSupport))
       assert(d.isEmpty, s"$c: ${d.take(5)}")
       assert(cp.nRecipes == tx.count(), c)
     }
@@ -50,6 +48,13 @@ class PatternMinerSpec extends SparkSpec {
     val bad = Seq(("Greek", Seq("x")), ("Greek", null: Seq[String])).toDF("cuisine", "items")
     val e = intercept[Exception](PatternMiner.minePerCuisine(bad))
     assert(e.getMessage.contains("null items array in a recipe of cuisine Greek"), e.getMessage)
+  }
+
+  test("an empty item array is mined as a recipe with no items") {
+    val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "items")
+    val Seq(cp) = PatternMiner.minePerCuisine(df, minSupport = 0.5)
+    assert(cp.nRecipes == 2L)
+    assert(cp.itemsets == Seq(FreqItemset(Seq("x"), 1L, 0.5)))
   }
 
   test("singleton pattern supports are oracle-checked against DuckDB") {

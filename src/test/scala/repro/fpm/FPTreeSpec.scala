@@ -63,19 +63,6 @@ class FPTreeSpec extends AnyFunSuite {
     assert(got == expected)
   }
 
-  test("validateSuffix partitions the output without duplication or loss") {
-    val tx = Seq(Seq("a", "b", "c"), Seq("a", "b"), Seq("b", "c"), Seq("a", "c"))
-    def build(): FPTree[String] = {
-      val t = new FPTree[String]; tx.foreach(t.add(_)); t
-    }
-    val all = build().extract(2).map { case (is, c) => (is.toSet, c) }.toSeq
-    val parts = Seq("a", "b", "c").flatMap { owner =>
-      build().extract(2, _ == owner).map { case (is, c) => (is.toSet, c) }.toSeq
-    }
-    assert(all.toSet == parts.toSet)
-    assert(parts.size == parts.toSet.size, "no duplicates across partitions")
-  }
-
   test("extract agrees with brute force on randomized inputs") {
     val rnd = new scala.util.Random(1234)
     (1 to 30).foreach { rep =>
