@@ -100,7 +100,7 @@ class ClusteringBench extends SparkSpec {
     println("\nCophenetic correlation vs raw geographic distances:")
     (Pipeline.Metrics.map(m => m -> res.patternTrees(m)) :+ ("authenticity" -> res.authTree))
       .foreach { case (name, t) =>
-        val c = repro.cluster.TreeCompare.pearson(t.cophenetic.condensed, geoD.condensed)
+        val c = repro.cluster.TreeCompare.copheneticCorrelation(t, geoD)
         println(f"  $name%-14s $c%.4f")
       }
   }

@@ -8,9 +8,9 @@ import repro.recipedb.RecipeGen
   * FP-Growth (PFP) against level-wise Apriori on the largest cuisine's
   * transactions — identical outputs required; the median wall-clock of
   * several repetitions, after a warm-up and in rotating order, reported per
-  * support level. The single-tree `FPGrowth.mineLocal` the pipeline runs per
-  * cuisine is timed alongside on the same transactions, collected to the
-  * driver, and must agree too.
+  * support level. `FPGrowth.mineLocal`, the in-memory FP-Growth the pipeline
+  * runs per cuisine, is timed alongside on the same transactions, collected
+  * to the driver, and must agree too.
   *
   * The paper picked FP-Growth for being "an efficient and scalable method";
   * this bench substantiates that choice on our data.

@@ -10,11 +10,12 @@ import repro.fpm.{FPGrowth, FreqItemset, Itemsets}
   * at the paper's support threshold of 0.2.
   *
   * All cuisines are mined in one Spark pass: the recipes are grouped by
-  * cuisine and each group is mined in its task with the single-tree
-  * [[FPGrowth.mineLocal]], as the paper mined each cuisine on one machine
-  * (Han, Pei & Yin, SIGMOD 2000). The largest cuisine, Italian, has 16.6k
-  * recipes at SF=1, so one group easily fits in a task. The test suite
-  * checks every cuisine against Spark MLlib's FP-Growth.
+  * cuisine and each group is mined in its task with FP-Growth's
+  * conditional-pattern-base recursion, [[FPGrowth.mineLocal]], as the paper
+  * mined each cuisine on one machine (Han, Pei & Yin, SIGMOD 2000). The
+  * largest cuisine, Italian, has 16.6k recipes at SF=1, so one group easily
+  * fits in a task. The test suite checks every cuisine against Spark
+  * MLlib's FP-Growth.
   */
 object PatternMiner {
 

@@ -1,12 +1,16 @@
 package repro.fpm
 
+import java.util.Arrays
 import scala.collection.mutable
 
 /** One mined frequent itemset with absolute and relative frequency. */
 final case class FreqItemset(items: Seq[String], freq: Long, support: Double)
 
-/** Single-tree FP-Growth (Han, Pei & Yin, SIGMOD 2000), the miner the
-  * paper ran on each cuisine.
+/** FP-Growth (Han, Pei & Yin, SIGMOD 2000), the miner the paper ran on each
+  * cuisine, as a recursion over conditional pattern bases kept as plain
+  * rank arrays rather than compressed into an FP-tree: at support 0.2
+  * recipes seldom share long prefixes, so the tree would save little
+  * (Pei et al., H-Mine, ICDM 2001).
   *
   * `core.PatternMiner` runs [[mineLocal]] once per cuisine inside one Spark
   * pass; the largest cuisine, Italian, has 16.6k recipes at SF=1, so one
@@ -34,14 +38,24 @@ object FPGrowth {
     val minCount = minCountFor(minSupport, total)
     val counts = mutable.Map.empty[String, Long].withDefaultValue(0L)
     transactions.foreach(_.distinct.foreach(i => counts(i) += 1))
-    val ranked = counts.toSeq.filter(_._2 >= minCount).sortBy { case (i, c) => (-c, i) }
-    val rank = ranked.iterator.map(_._1).zipWithIndex.toMap
-    val tree = new FPTree[String]
-    transactions.foreach { t =>
-      tree.add(t.distinct.flatMap(i => rank.get(i).map(_ => i)).sortBy(rank))
+    val items = counts.toArray.filter(_._2 >= minCount).sortBy { case (i, c) => (-c, i) }.map(_._1)
+    val rank = items.zipWithIndex.toMap
+    val out = Seq.newBuilder[FreqItemset]
+    // `base` is the conditional pattern base of `suffix`: for each
+    // transaction holding all of `suffix`, its sorted ranks below
+    // `suffix.head`, less those already infrequent alongside `suffix`.
+    def grow(base: Array[Array[Int]], suffix: List[Int]): Unit = {
+      val count = new Array[Long](items.length)
+      base.foreach(_.foreach(r => count(r) += 1))
+      for (r <- items.indices if count(r) >= minCount) {
+        out += FreqItemset((r :: suffix).map(items).sorted, count(r), count(r).toDouble / total)
+        grow(base.flatMap { t =>
+          val at = Arrays.binarySearch(t, r)
+          if (at < 0) None else Some(t.take(at).filter(count(_) >= minCount))
+        }, r :: suffix)
+      }
     }
-    tree.extract(minCount).map { case (items, cnt) =>
-      FreqItemset(items.sorted, cnt, cnt.toDouble / total)
-    }.toSeq
+    grow(transactions.iterator.map(_.flatMap(rank.get).distinct.sorted.toArray).toArray, Nil)
+    out.result()
   }
 }

@@ -91,13 +91,4 @@ object RecipeGen {
       }
     }.toDF()
   }
-
-  /** Exploded (recipe id, cuisine, item) pairs — the shape the DuckDB
-    * oracle queries run over (Oracle cannot compare array columns).
-    */
-  def explodedItems(recipes: DataFrame, itemsCol: String = "items"): DataFrame = {
-    import org.apache.spark.sql.functions.explode
-    recipes.select(recipes("id"), recipes("cuisine"),
-      explode(recipes(itemsCol)).as("item"))
-  }
 }

@@ -67,6 +67,15 @@ object Oracle {
     } finally conn.close()
   }
 
+  /** Exploded (recipe id, cuisine, item) pairs of generated recipes — the
+    * shape the oracle queries run over (array columns are not comparable).
+    */
+  def explodedItems(recipes: DataFrame, itemsCol: String = "items"): DataFrame = {
+    import org.apache.spark.sql.functions.explode
+    recipes.select(recipes("id"), recipes("cuisine"),
+      explode(recipes(itemsCol)).as("item"))
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     val (dCols, dRows) = query(sql, tables: _*)
     val sCols = sparkDf.columns.toSeq

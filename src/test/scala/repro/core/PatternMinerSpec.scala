@@ -62,7 +62,7 @@ class PatternMinerSpec extends SparkSpec {
     val cp = mined.find(_.cuisine == c).get
     val singles = cp.itemsets.filter(_.items.size == 1)
     assert(singles.nonEmpty)
-    val ex = RecipeGen.explodedItems(recipes).filter($"cuisine" === c)
+    val ex = Oracle.explodedItems(recipes).filter($"cuisine" === c)
     val got = ex.groupBy("item").agg(count(lit(1)).as("freq"))
       .filter($"freq" >= math.ceil(cp.nRecipes * 0.2).toLong)
     Oracle.assertEquivalent(

@@ -27,6 +27,33 @@ class FPGrowthSpec extends SparkSpec {
     assert(Itemsets.diff(got, expected).isEmpty)
   }
 
+  test("classic Han et al. example mines the known frequent itemsets") {
+    // Transactions from the FP-Growth paper (minCount 3 of 5), with global
+    // frequencies f(4) c(4) a(3) b(3) m(3) p(3).
+    val tx = Seq(
+      Seq("f", "c", "a", "m", "p"),
+      Seq("f", "c", "a", "b", "m"),
+      Seq("f", "b"),
+      Seq("c", "b", "p"),
+      Seq("f", "c", "a", "m", "p"),
+    )
+    val got = FPGrowth.mineLocal(tx, 0.6).map(fi => fi.items.mkString("") -> fi.freq).toMap
+    val expected = Map(
+      "f" -> 4L, "c" -> 4L, "a" -> 3L, "b" -> 3L, "m" -> 3L, "p" -> 3L,
+      "cf" -> 3L, "ac" -> 3L, "af" -> 3L, "acf" -> 3L, "am" -> 3L, "cm" -> 3L,
+      "fm" -> 3L, "acm" -> 3L, "afm" -> 3L, "cfm" -> 3L, "acfm" -> 3L, "cp" -> 3L,
+    )
+    assert(got == expected)
+  }
+
+  test("single transaction yields all its subsets") {
+    val got = FPGrowth.mineLocal(Seq(Seq("a", "b", "c")), 1.0)
+    // Every non-empty subset of {a,b,c} appears once, with freq 1.
+    assert(got.map(_.items.toSet).toSet == Set("a", "b", "c").subsets().filter(_.nonEmpty).toSet)
+    assert(got.size == 7)
+    assert(got.forall(_.freq == 1L))
+  }
+
   test("support values are freq/total") {
     val got = FPGrowth.mineLocal(small, 0.4)
     got.foreach(fi => assert(fi.support == fi.freq.toDouble / small.size))
@@ -75,20 +102,37 @@ class FPGrowthSpec extends SparkSpec {
     intercept[IllegalArgumentException](FPGrowth.mineLocal(Seq.empty, 0.5))
   }
 
+  test("mineLocal agrees with brute force on randomized inputs") {
+    val rnd = new scala.util.Random(1234)
+    (1 to 30).foreach { rep =>
+      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(6)).toChar).map(_.toString)
+      val tx = Seq.fill(1 + rnd.nextInt(30)) {
+        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
+      }
+      val minSup = 0.1 + rnd.nextDouble() * 0.8
+      val d = Itemsets.diff(FPGrowth.mineLocal(tx, minSup), BruteForce.mine(tx, minSup))
+      assert(d.isEmpty, s"rep $rep minSup $minSup: ${d.take(5)}")
+    }
+  }
+
   test("distributed == local == brute force on randomized inputs") {
+    // Alphabets of up to 10 items and supports down to 0.05 make mineLocal
+    // recurse several levels deep and prune items within conditional bases.
     val rnd = new scala.util.Random(99)
-    (1 to 12).foreach { rep =>
-      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(7)).toChar).map(_.toString)
+    val longest = (1 to 30).map { rep =>
+      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(9)).toChar).map(_.toString)
       val tx: Seq[Seq[String]] = Seq.fill(2 + rnd.nextInt(40)) {
         rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
       }
-      val minSup = 0.15 + rnd.nextDouble() * 0.7
+      val minSup = 0.05 + rnd.nextDouble() * 0.8
       val brute = BruteForce.mine(tx, minSup)
       val dist = MLlibFPGrowth.mine(tx.toDS(), minSup)
       assert(Itemsets.diff(dist, brute).isEmpty, s"rep $rep minSup $minSup")
       val local = FPGrowth.mineLocal(tx, minSup)
       assert(Itemsets.diff(local, brute).isEmpty, s"rep $rep (local) minSup $minSup")
-    }
+      local.map(_.items.size).maxOption.getOrElse(0)
+    }.max
+    assert(longest >= 4, s"longest mined itemset has $longest items")
   }
 
   test("matches Spark MLlib's FPGrowth on randomized inputs") {
