@@ -26,11 +26,6 @@ object TreeCompare {
     if (sa == 0 || sb == 0) 0.0 else sab / math.sqrt(sa * sb)
   }
 
-  def copheneticCorrelation(x: Dendrogram, y: Dendrogram): Double = {
-    require(x.nLeaves == y.nLeaves, "dendrograms must share the leaf set")
-    pearson(x.cophenetic.condensed, y.cophenetic.condensed)
-  }
-
   /** Cophenetic correlation between a dendrogram and raw distances — the
     * classic measure of how faithfully a tree represents its input.
     */

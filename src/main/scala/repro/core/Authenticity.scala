@@ -15,12 +15,14 @@ import scala.collection.mutable
   * DESIGN.md errata). The mean over k ≠ c includes cuisines where the item
   * never occurs (P = 0), so the matrix is dense over cuisines × items.
   *
-  * Spark computes only the two counts, N_c and n_i^c, in one pass with the
-  * shape [[PatternMiner.minePerCuisine]] uses: the recipes are grouped by
-  * cuisine and each task counts its cuisine's rows, returning one small
-  * [[CuisineCounts]] to the driver. Both counts are oracle-checked against
-  * DuckDB in the test suite. The dense cuisines × items matrix (26 × ~20k
-  * doubles, about 4 MB, at SF=1) is filled in on the driver.
+  * Spark computes only the two counts, N_c and n_i^c, in one job with no
+  * shuffle: each input partition counts its own rows per cuisine and
+  * returns one partial [[CuisineCounts]] per cuisine it holds, and the
+  * driver adds the partials up. The partials grow with input partitions ×
+  * cuisines (4 × 26 small maps at SF=1 on 4 cores), not with recipes. Both
+  * counts are oracle-checked against DuckDB in the test suite. The dense
+  * cuisines × items matrix (26 × ~20k doubles, about 4 MB, at SF=1) is
+  * filled in on the driver.
   */
 object Authenticity {
 
@@ -35,23 +37,25 @@ object Authenticity {
   def itemCounts(recipes: DataFrame, itemsCol: String = "ingredients"): Seq[CuisineCounts] = {
     val spark = recipes.sparkSession
     import spark.implicits._
-    recipes.select(recipes("cuisine"), recipes(itemsCol))
+    val partials = recipes.select(recipes("cuisine"), recipes(itemsCol))
       .as[(String, Seq[String])]
-      .groupByKey(_._1)
-      .mapGroups { (cuisine, rows) =>
-        val withItem = mutable.HashMap.empty[String, Long]
-        var n = 0L
-        rows.foreach { case (_, items) =>
+      .mapPartitions { rows =>
+        val nRecipes = mutable.HashMap.empty[String, Long]
+        val withItem = mutable.HashMap.empty[String, mutable.HashMap[String, Long]]
+        rows.foreach { case (cuisine, items) =>
           require(items != null, s"null $itemsCol array in a recipe of cuisine $cuisine")
-          n += 1
+          nRecipes(cuisine) = nRecipes.getOrElse(cuisine, 0L) + 1
+          val counts = withItem.getOrElseUpdate(cuisine, mutable.HashMap.empty)
           // recipe-level presence, robust to duplicate items
-          items.distinct.foreach(i => withItem(i) = withItem.getOrElse(i, 0L) + 1)
+          items.distinct.foreach(i => counts(i) = counts.getOrElse(i, 0L) + 1)
         }
-        CuisineCounts(cuisine, n, withItem.toMap)
+        nRecipes.iterator.map { case (c, n) => CuisineCounts(c, n, withItem(c).toMap) }
       }
       .collect()
-      .sortBy(_.cuisine)
-      .toSeq
+    partials.groupBy(_.cuisine).toSeq.sortBy(_._1).map { case (cuisine, ps) =>
+      CuisineCounts(cuisine, ps.map(_.nRecipes).sum,
+        ps.flatMap(_.withItem).groupMapReduce(_._1)(_._2)(_ + _))
+    }
   }
 
   final case class Fingerprints(

@@ -27,7 +27,7 @@ class TreeCompareSpec extends AnyFunSuite {
   }
 
   test("cophenetic correlation of a tree with itself is 1") {
-    assert(math.abs(TreeCompare.copheneticCorrelation(tree, tree) - 1.0) < 1e-12)
+    assert(math.abs(TreeCompare.copheneticCorrelation(tree, tree.cophenetic) - 1.0) < 1e-12)
   }
 
   test("cophenetic correlation with the source distances is high for clean data") {
@@ -87,7 +87,7 @@ class TreeCompareSpec extends AnyFunSuite {
 
   test("mismatched leaf counts are rejected") {
     val t2 = Hac.cluster(DistMatrix(2, Array(1.0)), Hac.Average)
-    intercept[IllegalArgumentException](TreeCompare.copheneticCorrelation(tree, t2))
+    intercept[IllegalArgumentException](TreeCompare.copheneticCorrelation(tree, t2.cophenetic))
     intercept[IllegalArgumentException](TreeCompare.meanFowlkesMallows(tree, t2, 2 to 2))
     intercept[IllegalArgumentException](
       TreeCompare.fowlkesMallows(Array(0, 1), Array(0, 1, 2)))

@@ -19,6 +19,12 @@ class AuthenticitySpec extends SparkSpec {
     (5L, "B", Seq("z")),
   ).toDF("id", "cuisine", "ingredients")
 
+  /** N_c and n_i^c of `tiny`, counted by hand. */
+  private val tinyCounts = Seq(
+    Authenticity.CuisineCounts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
+    Authenticity.CuisineCounts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
+  )
+
   private lazy val gen = RecipeGen.recipes(spark, 0.01).cache()
 
   /** Relative prevalence in SQL over the densified cuisine × item grid:
@@ -56,10 +62,7 @@ class AuthenticitySpec extends SparkSpec {
     } yield (c, i) -> fp.matrix(ci)(ii)).toMap
 
   test("fingerprints densify items a cuisine never uses (B/y)") {
-    assert(Authenticity.itemCounts(tiny) == Seq(
-      Authenticity.CuisineCounts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
-      Authenticity.CuisineCounts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
-    ))
+    assert(Authenticity.itemCounts(tiny) == tinyCounts)
     val rel = cells(Authenticity.fingerprints(spark, tiny))
     assert(rel.size == 6)
     // P_B(y) = 0 is filled in although no (B, y) count exists.
@@ -77,19 +80,33 @@ class AuthenticitySpec extends SparkSpec {
     }
   }
 
-  test("item counts are oracle-checked against DuckDB on generated data") {
-    val counts = Authenticity.itemCounts(gen)
+  /** N_c and n_i^c of `recipes` against the same counts in DuckDB. */
+  private def assertCountsMatchDuckDb(recipes: DataFrame): Unit = {
+    val counts = Authenticity.itemCounts(recipes)
     val withItem = counts.flatMap(c => c.withItem.map { case (i, n) => (c.cuisine, i, n) })
     Oracle.assertEquivalent(
       withItem.toDF("cuisine", "item", "n_with_item"),
       "SELECT cuisine, item, count(*) AS n_with_item FROM ex GROUP BY cuisine, item",
-      "ex" -> exploded(gen),
+      "ex" -> exploded(recipes),
     )
     Oracle.assertEquivalent(
       counts.map(c => (c.cuisine, c.nRecipes)).toDF("cuisine", "n_recipes"),
       "SELECT cuisine, count(*) AS n_recipes FROM recipes GROUP BY cuisine",
-      "recipes" -> gen.select("id", "cuisine"),
+      "recipes" -> recipes.select("id", "cuisine"),
     )
+  }
+
+  test("item counts are oracle-checked against DuckDB on generated data") {
+    assertCountsMatchDuckDb(gen)
+  }
+
+  test("item counts add up a cuisine's rows spread over several input partitions") {
+    val spread = tiny.repartition(3)
+    val partitionsOfA = spread.filter($"cuisine" === "A")
+      .select(spark_partition_id()).distinct().count()
+    assert(partitionsOfA > 1, s"cuisine A's rows sit in $partitionsOfA partition(s)")
+    assert(Authenticity.itemCounts(spread) == tinyCounts)
+    assertCountsMatchDuckDb(gen.repartition(8))
   }
 
   test("item counts count a recipe once however often it lists an item") {
@@ -110,12 +127,12 @@ class AuthenticitySpec extends SparkSpec {
     assert(e.getMessage.contains("null ingredients array in a recipe of cuisine B"), e.getMessage)
   }
 
-  test("fingerprints run in at most two Spark jobs") {
-    // One grouped pass: a shuffle-map job and the collect job.
+  test("fingerprints run in one Spark job") {
+    // Per-partition partial counts, collected and merged: no shuffle.
     gen.count() // materialise the cache outside the counted jobs
     val (fp, jobs) = sparkJobsOf(Authenticity.fingerprints(spark, gen))
     assert(fp.cuisines.size == 26)
-    assert(jobs > 0 && jobs <= 2, s"$jobs Spark jobs")
+    assert(jobs == 1, s"$jobs Spark jobs")
   }
 
   test("fingerprints equal the DuckDB relative-prevalence SQL on generated data to 1e-12") {

@@ -115,6 +115,37 @@ class FPGrowthSpec extends SparkSpec {
     }
   }
 
+  test("permuting transactions and the items within them changes nothing") {
+    // Metamorphic law: support counts sets of transactions, so neither the
+    // order of transactions nor the order (or repetition) of items inside
+    // one may change what is mined.
+    def freqs(tx: Seq[Seq[String]], minSup: Double): Map[Seq[String], Long] =
+      FPGrowth.mineLocal(tx, minSup).map(fi => fi.items -> fi.freq).toMap
+    val rnd = new scala.util.Random(4242)
+    (1 to 30).foreach { rep =>
+      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(11)).toChar).map(_.toString)
+      val tx = Seq.fill(1 + rnd.nextInt(60)) {
+        val t = rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1))
+        t ++ t.take(rnd.nextInt(3)) // some items listed twice
+      }
+      val minSup = 0.05 + rnd.nextDouble() * 0.6
+      val permuted = rnd.shuffle(tx).map(rnd.shuffle(_))
+      assert(freqs(permuted, minSup) == freqs(tx, minSup), s"rep $rep minSup $minSup")
+    }
+  }
+
+  test("a transaction of thousands of distinct items is mined whole") {
+    val long = (0 until 3000).map(i => f"i$i%04d")
+    // Two transactions sharing one item: only that item is in both.
+    assert(FPGrowth.mineLocal(Seq(long, Seq("i0000", "other")), 1.0) ==
+      Seq(FreqItemset(Seq("i0000"), 2L, 1.0)))
+    // With one singleton transaction per item, each of the 3,000 items is
+    // frequent (freq 2) and no pair is, so every rank of `long` is kept.
+    val tx = long +: long.map(Seq(_))
+    val got = FPGrowth.mineLocal(tx, 1.5 / tx.size)
+    assert(got.map(fi => fi.items -> fi.freq).toMap == long.map(i => Seq(i) -> 2L).toMap)
+  }
+
   test("distributed == local == brute force on randomized inputs") {
     // Alphabets of up to 10 items and supports down to 0.05 make mineLocal
     // recurse several levels deep and prune items within conditional bases.
