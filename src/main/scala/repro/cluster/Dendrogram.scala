@@ -56,7 +56,9 @@ final case class Dendrogram(nLeaves: Int, merges: IndexedSeq[Merge]) {
 
   def copheneticOf(i: Int, j: Int): Double = cophenetic(i, j)
 
-  /** Newick string with branch heights as comments, e.g. for external viewers. */
+  /** Newick string of the tree's topology (no branch lengths), e.g. for
+    * external viewers.
+    */
   def newick(labels: IndexedSeq[String]): String = {
     require(labels.length == nLeaves, "one label per leaf required")
     def render(id: Int): String =

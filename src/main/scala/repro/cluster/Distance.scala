@@ -15,8 +15,6 @@ final case class DistMatrix(n: Int, condensed: Array[Double]) {
   }
 
   def apply(i: Int, j: Int): Double = if (i == j) 0.0 else condensed(idx(i, j))
-
-  def map(f: Double => Double): DistMatrix = DistMatrix(n, condensed.map(f))
 }
 
 /** Distance metrics over dense vectors + pdist.
@@ -99,19 +97,6 @@ object Distance {
         j += 1
       }
       i += 1
-    }
-    DistMatrix(n, out)
-  }
-
-  /** Build a DistMatrix from an explicit full matrix (validated symmetric). */
-  def fromFull(m: Array[Array[Double]]): DistMatrix = {
-    val n = m.length
-    val out = new Array[Double](n * (n - 1) / 2)
-    var k = 0
-    for (i <- 0 until n; j <- i + 1 until n) {
-      require(math.abs(m(i)(j) - m(j)(i)) < 1e-9, s"asymmetric at ($i,$j)")
-      out(k) = m(i)(j)
-      k += 1
     }
     DistMatrix(n, out)
   }

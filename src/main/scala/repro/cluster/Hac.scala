@@ -1,20 +1,21 @@
 package repro.cluster
 
-/** Hierarchical agglomerative clustering over a precomputed distance matrix
-  * (the paper feeds scipy `linkage` a condensed pdist matrix).
+/** Average-linkage (UPGMA) hierarchical agglomerative clustering over a
+  * precomputed distance matrix, as the paper feeds scipy `linkage` a
+  * condensed pdist matrix.
   *
-  * Implemented via Lance–Williams updates on a full working matrix —
-  * O(n^3), entirely adequate for n = 26 cuisines. Single, complete and
-  * average (UPGMA) linkage work with any metric; Ward assumes Euclidean
-  * input distances.
+  * At each step the two active clusters with the smallest mean leaf-to-leaf
+  * distance merge at that mean. The distances from the new cluster are the
+  * size-weighted means of its two parts' distances (Lance–Williams), on a
+  * full working matrix: O(n^3), entirely adequate for n = 26 cuisines.
   */
 object Hac {
 
-  sealed trait Linkage { def name: String }
-  case object Single   extends Linkage { val name = "single" }
-  case object Complete extends Linkage { val name = "complete" }
-  case object Average  extends Linkage { val name = "average" }
-  case object Ward     extends Linkage { val name = "ward" }
+  /** The linkage criterion. Average linkage is the only one; `cluster`
+    * keeps the parameter because the benchmark harness names it.
+    */
+  sealed trait Linkage
+  case object Average extends Linkage
 
   def cluster(dist: DistMatrix, linkage: Linkage = Average): Dendrogram = {
     val n = dist.n
@@ -50,18 +51,7 @@ object Hac {
       // Lance–Williams update for every other active cluster k
       active.foreach { k =>
         if (k != i && k != j) {
-          val dik = d(i)(k)
-          val djk = d(j)(k)
-          val nk = size(k).toDouble
-          val updated = linkage match {
-            case Single   => math.min(dik, djk)
-            case Complete => math.max(dik, djk)
-            case Average  => (ni * dik + nj * djk) / (ni + nj)
-            case Ward =>
-              math.sqrt(
-                ((nk + ni) * dik * dik + (nk + nj) * djk * djk - nk * best * best) /
-                  (nk + ni + nj))
-          }
+          val updated = (ni * d(i)(k) + nj * d(j)(k)) / (ni + nj)
           d(nextId)(k) = updated
           d(k)(nextId) = updated
         }

@@ -8,13 +8,10 @@ import scala.util.Random
   */
 object KMeans {
 
-  final case class Result(
-      k: Int,
-      centers: Array[Array[Double]],
-      labels: Array[Int],
-      wcss: Double,
-      iterations: Int,
-  )
+  final case class Result(centers: Array[Array[Double]], labels: Array[Int], wcss: Double)
+
+  private val MaxSteps = 100
+  private val Runs = 8
 
   private def sqDist(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0
@@ -47,7 +44,7 @@ object KMeans {
     centers
   }
 
-  def fitOnce(x: Array[Array[Double]], k: Int, seed: Long, maxIter: Int = 100): Result = {
+  private def fitOnce(x: Array[Array[Double]], k: Int, seed: Long): Result = {
     require(k >= 1 && k <= x.length, s"k=$k outside [1, ${x.length}]")
     val rnd = new Random(seed)
     val dim = x.head.length
@@ -55,7 +52,7 @@ object KMeans {
     val labels = new Array[Int](x.length)
     var iter = 0
     var changed = true
-    while (changed && iter < maxIter) {
+    while (changed && iter < MaxSteps) {
       changed = false
       var i = 0
       while (i < x.length) {
@@ -87,13 +84,12 @@ object KMeans {
       iter += 1
     }
     val wcss = x.indices.map(i => sqDist(x(i), centers(labels(i)))).sum
-    Result(k, centers, labels, wcss, iter)
+    Result(centers, labels, wcss)
   }
 
-  /** Best of `restarts` seeded runs (lowest WCSS) — deterministic in seed. */
-  def fit(x: Array[Array[Double]], k: Int, seed: Long = 7,
-          maxIter: Int = 100, restarts: Int = 8): Result =
-    (0 until restarts).map(r => fitOnce(x, k, seed + r * 1000003L, maxIter)).minBy(_.wcss)
+  /** Best of eight seeded runs (lowest WCSS) — deterministic in seed. */
+  def fit(x: Array[Array[Double]], k: Int, seed: Long = 7): Result =
+    (0 until Runs).map(r => fitOnce(x, k, seed + r * 1000003L)).minBy(_.wcss)
 
   /** WCSS for each k — the numbers behind the paper's elbow plot (Fig 1). */
   def elbow(x: Array[Array[Double]], ks: Seq[Int], seed: Long = 7): Seq[(Int, Double)] =

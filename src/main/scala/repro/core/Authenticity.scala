@@ -9,9 +9,10 @@ import scala.collection.mutable
   *   prevalence          P_i^c = n_i^c / N_c
   *   relative prevalence p_i^c = P_i^c − ⟨P_i^k⟩_{k≠c}
   *
-  * where n_i^c counts the recipes of cuisine c containing item i and N_c is
-  * the number of recipes of cuisine c (Ahn et al.'s definition; the paper's
-  * prose ambiguously says "total number of recipes in the dataset" — see
+  * where n_i^c counts the recipes of cuisine c whose `ingredients` contain
+  * item i (processes and utensils do not count) and N_c is the number of
+  * recipes of cuisine c (Ahn et al.'s definition; the paper's prose
+  * ambiguously says "total number of recipes in the dataset" — see
   * DESIGN.md errata). The mean over k ≠ c includes cuisines where the item
   * never occurs (P = 0), so the matrix is dense over cuisines × items.
   *
@@ -31,19 +32,20 @@ object Authenticity {
     */
   final case class CuisineCounts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
 
-  /** One [[CuisineCounts]] per cuisine present in `recipes`, sorted by
-    * cuisine. Fails if a recipe's `itemsCol` array is null.
+  /** One [[CuisineCounts]] of the `ingredients` per cuisine present in
+    * `recipes`, sorted by cuisine. Fails if a recipe's `ingredients` array
+    * is null.
     */
-  def itemCounts(recipes: DataFrame, itemsCol: String = "ingredients"): Seq[CuisineCounts] = {
+  def itemCounts(recipes: DataFrame): Seq[CuisineCounts] = {
     val spark = recipes.sparkSession
     import spark.implicits._
-    val partials = recipes.select(recipes("cuisine"), recipes(itemsCol))
+    val partials = recipes.select(recipes("cuisine"), recipes("ingredients"))
       .as[(String, Seq[String])]
       .mapPartitions { rows =>
         val nRecipes = mutable.HashMap.empty[String, Long]
         val withItem = mutable.HashMap.empty[String, mutable.HashMap[String, Long]]
         rows.foreach { case (cuisine, items) =>
-          require(items != null, s"null $itemsCol array in a recipe of cuisine $cuisine")
+          require(items != null, s"null ingredients array in a recipe of cuisine $cuisine")
           nRecipes(cuisine) = nRecipes.getOrElse(cuisine, 0L) + 1
           val counts = withItem.getOrElseUpdate(cuisine, mutable.HashMap.empty)
           // recipe-level presence, robust to duplicate items
@@ -66,11 +68,10 @@ object Authenticity {
 
   /** Dense relative-prevalence fingerprint matrix, rows sorted by cuisine
     * and columns by item so the result is deterministic. Needs at least two
-    * cuisines.
+    * cuisines. `spark` is unused; the benchmark harness still passes it.
     */
-  def fingerprints(spark: SparkSession, recipes: DataFrame,
-                   itemsCol: String = "ingredients"): Fingerprints = {
-    val counts = itemCounts(recipes, itemsCol)
+  def fingerprints(spark: SparkSession, recipes: DataFrame): Fingerprints = {
+    val counts = itemCounts(recipes)
     val k = counts.length
     require(k >= 2, "relative prevalence needs at least two cuisines")
 

@@ -16,13 +16,7 @@ object PatternFeatures {
       cuisines: IndexedSeq[String],          // row order
       patternUniverse: IndexedSeq[String],   // column order = label encoding
       matrix: Array[Array[Double]],          // binary indicators
-  ) {
-    def vectorOf(cuisine: String): Array[Double] = {
-      val i = cuisines.indexOf(cuisine)
-      require(i >= 0, s"unknown cuisine: $cuisine")
-      matrix(i)
-    }
-  }
+  )
 
   def fromPatterns(perCuisine: Seq[PatternMiner.CuisinePatterns]): Features = {
     val cuisines = perCuisine.map(_.cuisine).toIndexedSeq

@@ -6,9 +6,9 @@ import scala.collection.mutable
 
 /** §IV–V.A of the paper: per-cuisine frequent pattern mining.
   *
-  * Each recipe is the unordered set ingredients ++ processes ++ utensils
-  * (the `items` column of the generator); FP-Growth runs once per cuisine
-  * at the paper's support threshold of 0.2.
+  * Each recipe is the unordered set of its ingredients, processes and
+  * utensils (the `items` column of the generator); FP-Growth runs once per
+  * cuisine at the paper's support threshold of 0.2.
   *
   * All cuisines are mined in one Spark pass: the recipes are hash
   * partitioned by cuisine into as many partitions as Spark has cores, each
@@ -34,27 +34,22 @@ object PatternMiner {
     def nPatterns: Int = itemsets.size
   }
 
-  /** Mine every cuisine present in `recipes`, one result per cuisine sorted
-    * by cuisine name. Fails if a recipe's `itemsCol` array is null.
-    *
-    * @param itemsCol which item view to mine ("items" = full paper setting)
+  /** Mine the `items` of every cuisine present in `recipes`, one result per
+    * cuisine sorted by cuisine name. Fails if a recipe's `items` array is
+    * null.
     */
-  def minePerCuisine(
-      recipes: DataFrame,
-      minSupport: Double = PaperMinSupport,
-      itemsCol: String = "items",
-  ): Seq[CuisinePatterns] = {
+  def minePerCuisine(recipes: DataFrame, minSupport: Double = PaperMinSupport): Seq[CuisinePatterns] = {
     require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
     val spark = recipes.sparkSession
     import spark.implicits._
     val cuisineCol = recipes("cuisine")
-    recipes.select(cuisineCol, recipes(itemsCol))
+    recipes.select(cuisineCol, recipes("items"))
       .repartition(spark.sparkContext.defaultParallelism, cuisineCol)
       .as[(String, Seq[String])]
       .mapPartitions { rows =>
         val byCuisine = mutable.HashMap.empty[String, mutable.Builder[Seq[String], Vector[Seq[String]]]]
         rows.foreach { case (cuisine, items) =>
-          require(items != null, s"null $itemsCol array in a recipe of cuisine $cuisine")
+          require(items != null, s"null items array in a recipe of cuisine $cuisine")
           byCuisine.getOrElseUpdate(cuisine, Vector.newBuilder) += items
         }
         byCuisine.iterator.map { case (cuisine, builder) =>

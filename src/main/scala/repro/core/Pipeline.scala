@@ -52,15 +52,15 @@ object Pipeline {
     val vectors = features.matrix.toSeq
 
     val patternTrees = Metrics.map { m =>
-      m -> Hac.cluster(Distance.pdist(vectors, Distance.byName(m)), Hac.Average)
+      m -> Hac.cluster(Distance.pdist(vectors, Distance.byName(m)))
     }.toMap
 
     val fp = Authenticity.fingerprints(spark, recipes)
     require(fp.cuisines == cuisines,
       s"cuisine order mismatch: ${fp.cuisines} vs $cuisines")
-    val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean), Hac.Average)
+    val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean))
 
-    val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines), Hac.Average)
+    val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines))
 
     val ks = 2 to math.min(12, cuisines.size - 1)
     val sims = (Metrics.map(m => m -> patternTrees(m)) :+ ("authenticity" -> authTree)).map {
@@ -70,7 +70,7 @@ object Pipeline {
     Results(cuisines, patterns, features, patternTrees, authTree, geoTree, sims)
   }
 
-  /** Generate data at `sf` and run everything. */
-  def runAtScale(spark: SparkSession, sf: Double, seed: Long = 42): Results =
-    run(spark, RecipeGen.recipes(spark, sf, seed))
+  /** Generate data at `sf` (seed 42) and run everything. */
+  def runAtScale(spark: SparkSession, sf: Double): Results =
+    run(spark, RecipeGen.recipes(spark, sf))
 }

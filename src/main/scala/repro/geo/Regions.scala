@@ -1,6 +1,6 @@
 package repro.geo
 
-import repro.cluster.{DistMatrix, Distance}
+import repro.cluster.DistMatrix
 
 /** Geographic ground truth for the paper's validation (Fig 6): a lat/lon
   * centroid per Table I region, the haversine great-circle distance, and
@@ -53,9 +53,8 @@ object Regions {
   /** Pairwise geographic distance matrix over regions in the given order. */
   def distanceMatrix(order: Seq[String]): DistMatrix = {
     order.foreach(r => require(coordinates.contains(r), s"unknown region: $r"))
-    val full = Array.tabulate(order.size, order.size) { (i, j) =>
-      if (i == j) 0.0 else haversineKm(coordinates(order(i)), coordinates(order(j)))
-    }
-    Distance.fromFull(full)
+    val c = order.map(coordinates).toIndexedSeq
+    DistMatrix(c.size, (for (i <- c.indices; j <- i + 1 until c.size)
+      yield haversineKm(c(i), c(j))).toArray)
   }
 }

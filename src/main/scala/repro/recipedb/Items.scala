@@ -9,10 +9,10 @@ package repro.recipedb
   */
 object Items {
 
-  sealed trait Category { def label: String }
-  case object Ingredient extends Category { val label = "ingredient" }
-  case object Process    extends Category { val label = "process"    }
-  case object Utensil    extends Category { val label = "utensil"    }
+  sealed trait Category
+  case object Ingredient extends Category
+  case object Process    extends Category
+  case object Utensil    extends Category
 
   /** Core cooking processes present in every cuisine's baseline. */
   val coreProcesses: Set[String] = Set(

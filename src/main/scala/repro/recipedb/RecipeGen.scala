@@ -7,9 +7,7 @@ final case class Recipe(
     id: Long,
     cuisine: String,
     ingredients: Seq[String],
-    processes: Seq[String],
-    utensils: Seq[String],
-    items: Seq[String], // ingredients ++ processes ++ utensils, deduplicated
+    items: Seq[String], // ingredients ++ the recipe's processes and utensils
 )
 
 /** Synthetic RecipeDB generator.
@@ -49,17 +47,11 @@ object RecipeGen {
   /** Generate one recipe (driver-side callable too; used by tests). */
   def genRecipe(spec: CuisineSpec, id: Long, seed: Long, poolSize: Int): Recipe = {
     val ing = Seq.newBuilder[String]
-    val proc = Seq.newBuilder[String]
-    val ut = Seq.newBuilder[String]
+    val other = Seq.newBuilder[String] // processes and utensils
     // deterministic iteration order: sorted item names
     spec.probs.toSeq.sortBy(_._1).foreach { case (item, p) =>
-      if (Rng.uniform(seed, id, item.hashCode.toLong) < p) {
-        Items.category(item) match {
-          case Items.Ingredient => ing += item
-          case Items.Process    => proc += item
-          case Items.Utensil    => ut += item
-        }
-      }
+      if (Rng.uniform(seed, id, item.hashCode.toLong) < p)
+        (if (Items.category(item) == Items.Ingredient) ing else other) += item
     }
     val cuisineIdx = CuisineSpecs.all.indexWhere(_.name == spec.name)
     var slot = 0
@@ -68,15 +60,13 @@ object RecipeGen {
       ing += s"rare_${cuisineIdx}_$k"
       slot += 1
     }
-    val ingredients = ing.result().distinct
-    val processes = proc.result()
-    val utensils = ut.result()
-    Recipe(id, spec.name, ingredients, processes, utensils,
-      (ingredients ++ processes ++ utensils).distinct)
+    val ingredients = ing.result().distinct // rare draws may collide
+    Recipe(id, spec.name, ingredients, ingredients ++ other.result())
   }
 
   /** The full synthetic RecipeDB at a scale factor, as a DataFrame with
-    * columns (id, cuisine, ingredients, processes, utensils, items).
+    * columns (id, cuisine, ingredients, items): `ingredients` feeds the
+    * authenticity fingerprints and `items` the pattern mining.
     */
   def recipes(spark: SparkSession, sf: Double = 0.05, seed: Long = 42): DataFrame = {
     import spark.implicits._

@@ -70,10 +70,9 @@ object Oracle {
   /** Exploded (recipe id, cuisine, item) pairs of generated recipes — the
     * shape the oracle queries run over (array columns are not comparable).
     */
-  def explodedItems(recipes: DataFrame, itemsCol: String = "items"): DataFrame = {
+  def explodedItems(recipes: DataFrame): DataFrame = {
     import org.apache.spark.sql.functions.explode
-    recipes.select(recipes("id"), recipes("cuisine"),
-      explode(recipes(itemsCol)).as("item"))
+    recipes.select(recipes("id"), recipes("cuisine"), explode(recipes("items")).as("item"))
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

@@ -4,10 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class DendrogramSpec extends AnyFunSuite {
 
-  private def randomTree(n: Int, seed: Long, linkage: Hac.Linkage = Hac.Average): Dendrogram = {
+  private def randomTree(n: Int, seed: Long): Dendrogram = {
     val rnd = new scala.util.Random(seed)
     val pts = Seq.fill(n)(Array.fill(3)(rnd.nextDouble() * 10))
-    Hac.cluster(Distance.pdist(pts, Distance.euclidean), linkage)
+    Hac.cluster(Distance.pdist(pts, Distance.euclidean))
   }
 
   test("merge list length and sizes are consistent") {
@@ -58,27 +58,15 @@ class DendrogramSpec extends AnyFunSuite {
   }
 
   test("cophenetic matrix is an ultrametric for monotone linkages") {
-    Seq(Hac.Single, Hac.Complete, Hac.Average).foreach { l =>
-      val d = randomTree(9, 6, l)
-      val c = d.cophenetic
-      for (i <- 0 until 9; j <- i + 1 until 9; k <- 0 until 9 if k != i && k != j) {
-        assert(c(i, j) <= math.max(c(i, k), c(j, k)) + 1e-9,
-          s"${l.name}: ultrametric violated at ($i,$j,$k)")
-      }
+    val c = randomTree(9, 6).cophenetic
+    for (i <- 0 until 9; j <- i + 1 until 9; k <- 0 until 9 if k != i && k != j) {
+      assert(c(i, j) <= math.max(c(i, k), c(j, k)) + 1e-9,
+        s"ultrametric violated at ($i,$j,$k)")
     }
   }
 
-  test("cophenetic of single linkage lower-bounds the input distance") {
-    val rnd = new scala.util.Random(7)
-    val pts = Seq.fill(8)(Array.fill(2)(rnd.nextDouble()))
-    val dm = Distance.pdist(pts, Distance.euclidean)
-    val d = Hac.cluster(dm, Hac.Single)
-    for (i <- 0 until 8; j <- i + 1 until 8)
-      assert(d.copheneticOf(i, j) <= dm(i, j) + 1e-9)
-  }
-
   test("newick escapes label metacharacters") {
-    val d = Hac.cluster(DistMatrix(2, Array(1.0)), Hac.Average)
+    val d = Hac.cluster(DistMatrix(2, Array(1.0)))
     val nw = d.newick(IndexedSeq("a(b)", "c,d;e"))
     assert(!nw.dropRight(1).exists(ch => ch == ';'))
     assert(nw == "(a_b_,c_d_e);")

@@ -104,11 +104,4 @@ class DistanceSpec extends AnyFunSuite {
     assert(d(0, 2) == 8.0)
     assert(d(1, 2) == 5.0)
   }
-
-  test("fromFull validates symmetry") {
-    val ok = Distance.fromFull(Array(Array(0.0, 2.0), Array(2.0, 0.0)))
-    assert(ok(0, 1) == 2.0)
-    intercept[IllegalArgumentException](
-      Distance.fromFull(Array(Array(0.0, 2.0), Array(3.0, 0.0))))
-  }
 }

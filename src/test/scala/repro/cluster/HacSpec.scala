@@ -10,8 +10,6 @@ class HacSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
-  private val linkages = Seq(Hac.Single, Hac.Complete, Hac.Average, Hac.Ward)
-
   // Euclidean distances between random points, kept only when no two pairs
   // are equidistant, so no merge depends on the tie-break.
   private val tieFreeGen: Gen[DistMatrix] = (for {
@@ -28,24 +26,8 @@ class HacSpec extends AnyFunSuite {
   private val line = Distance.pdist(
     Seq(Array(0.0), Array(1.0), Array(10.0), Array(12.0)), Distance.euclidean)
 
-  test("single linkage on the line example") {
-    val d = Hac.cluster(line, Hac.Single)
-    // merges: {0,1}@1, {2,3}@2, then single-link distance 12-1=9... min(10-1, 12-1)=9
-    assert(d.merges(0) == Merge(0, 1, 1.0, 2))
-    assert(d.merges(1) == Merge(2, 3, 2.0, 2))
-    assert(d.merges(2).height == 9.0)
-    assert(d.merges(2).size == 4)
-  }
-
-  test("complete linkage on the line example") {
-    val d = Hac.cluster(line, Hac.Complete)
-    assert(d.merges(0) == Merge(0, 1, 1.0, 2))
-    assert(d.merges(1) == Merge(2, 3, 2.0, 2))
-    assert(d.merges(2).height == 12.0) // max(10, 11, 12) = 12
-  }
-
   test("average linkage on the line example") {
-    val d = Hac.cluster(line, Hac.Average)
+    val d = Hac.cluster(line)
     assert(d.merges(0) == Merge(0, 1, 1.0, 2))
     assert(d.merges(1) == Merge(2, 3, 2.0, 2))
     // pairs across: (0,2)=10 (0,3)=12 (1,2)=9 (1,3)=11 -> mean 10.5
@@ -58,7 +40,7 @@ class HacSpec extends AnyFunSuite {
     val rnd = new scala.util.Random(3)
     val pts = Seq.fill(6)(Array.fill(3)(rnd.nextDouble() * 10))
     val d = Distance.pdist(pts, Distance.euclidean)
-    val dend = Hac.cluster(d, Hac.Average)
+    val dend = Hac.cluster(d)
     // check the final merge height explicitly
     val last = dend.merges.last
     val left = dend.members(last.a)
@@ -67,57 +49,38 @@ class HacSpec extends AnyFunSuite {
     assert(math.abs(last.height - cross.sum / cross.size) < 1e-9)
   }
 
-  test("ward linkage matches scipy on a known example") {
-    // Points: (0,0), (0,1), (4,0), (4,1): ward merges the two vertical
-    // pairs at height 1, then joins them at sqrt(2 * n1 n2 / (n1+n2)) *
-    // ||centroid difference|| = 4 * sqrt(2) ≈ 5.6569 (scipy agrees).
-    val pts = Seq(Array(0.0, 0.0), Array(0.0, 1.0), Array(4.0, 0.0), Array(4.0, 1.0))
-    val dend = Hac.cluster(Distance.pdist(pts, Distance.euclidean), Hac.Ward)
-    assert(math.abs(dend.merges(0).height - 1.0) < 1e-9)
-    assert(math.abs(dend.merges(1).height - 1.0) < 1e-9)
-    // centroids (0,0.5) and (4,0.5), 2 points each: ward distance =
-    // sqrt(2*2/(2+2)) * ||c1-c2|| * sqrt(2)?? — verify against the direct
-    // ESS formula: sqrt(2 * n1*n2/(n1+n2)) * ||c1 - c2||
-    val expected = math.sqrt(2.0 * (2.0 * 2.0 / 4.0)) * 4.0
-    assert(math.abs(dend.merges(2).height - expected) < 1e-9)
-  }
-
   test("heights are monotonically non-decreasing for all linkages") {
     val rnd = new scala.util.Random(11)
     val pts = Seq.fill(10)(Array.fill(4)(rnd.nextDouble()))
-    val d = Distance.pdist(pts, Distance.euclidean)
-    linkages.foreach { l =>
-      val dend = Hac.cluster(d, l)
-      val hs = dend.merges.map(_.height)
-      assert(hs.zip(hs.tail).forall { case (a, b) => b >= a - 1e-9 }, l.name)
-    }
+    val hs = Hac.cluster(Distance.pdist(pts, Distance.euclidean)).merges.map(_.height)
+    assert(hs.zip(hs.tail).forall { case (a, b) => b >= a - 1e-9 }, hs)
   }
 
   test("single observation yields an empty dendrogram") {
-    val dend = Hac.cluster(DistMatrix(1, Array.empty), Hac.Average)
+    val dend = Hac.cluster(DistMatrix(1, Array.empty))
     assert(dend.nLeaves == 1 && dend.merges.isEmpty)
   }
 
   test("two observations merge at their distance") {
-    val dend = Hac.cluster(DistMatrix(2, Array(3.5)), Hac.Average)
+    val dend = Hac.cluster(DistMatrix(2, Array(3.5)))
     assert(dend.merges == Vector(Merge(0, 1, 3.5, 2)))
   }
 
   test("cut produces the expected flat clusters") {
-    val dend = Hac.cluster(line, Hac.Average)
+    val dend = Hac.cluster(line)
     assert(dend.cut(1).distinct.length == 1)
     assert(dend.cut(2).toSeq == Seq(0, 0, 1, 1))
     assert(dend.cut(4).toSeq == Seq(0, 1, 2, 3))
   }
 
   test("cut validates k") {
-    val dend = Hac.cluster(line, Hac.Average)
+    val dend = Hac.cluster(line)
     intercept[IllegalArgumentException](dend.cut(0))
     intercept[IllegalArgumentException](dend.cut(5))
   }
 
   test("cophenetic distances reflect merge heights") {
-    val dend = Hac.cluster(line, Hac.Average)
+    val dend = Hac.cluster(line)
     assert(dend.copheneticOf(0, 1) == 1.0)
     assert(dend.copheneticOf(2, 3) == 2.0)
     assert(math.abs(dend.copheneticOf(0, 3) - 10.5) < 1e-9)
@@ -125,14 +88,14 @@ class HacSpec extends AnyFunSuite {
   }
 
   test("members tracks leaves through merges") {
-    val dend = Hac.cluster(line, Hac.Average)
+    val dend = Hac.cluster(line)
     assert(dend.members(4) == Set(0, 1))
     assert(dend.members(5) == Set(2, 3))
     assert(dend.members(6) == Set(0, 1, 2, 3))
   }
 
   test("newick renders all leaves exactly once") {
-    val dend = Hac.cluster(line, Hac.Average)
+    val dend = Hac.cluster(line)
     val nw = dend.newick(IndexedSeq("w", "x", "y", "z"))
     assert(nw.endsWith(";"))
     Seq("w", "x", "y", "z").foreach(l => assert(nw.contains(l)))
@@ -140,7 +103,7 @@ class HacSpec extends AnyFunSuite {
   }
 
   test("ascii rendering mentions every cuisine merge") {
-    val dend = Hac.cluster(line, Hac.Average)
+    val dend = Hac.cluster(line)
     val a = dend.ascii(IndexedSeq("w", "x", "y", "z"))
     assert(a.linesIterator.size == 3)
   }
@@ -148,8 +111,8 @@ class HacSpec extends AnyFunSuite {
   test("deterministic under permutation-stable input (exact ties)") {
     // four equidistant points: heights all equal, but result is stable
     val d = DistMatrix(4, Array.fill(6)(1.0))
-    val a = Hac.cluster(d, Hac.Average).merges
-    val b = Hac.cluster(d, Hac.Average).merges
+    val a = Hac.cluster(d).merges
+    val b = Hac.cluster(d).merges
     assert(a == b)
     assert(a.head == Merge(0, 1, 1.0, 2), "first-index tie break")
   }
@@ -159,45 +122,44 @@ class HacSpec extends AnyFunSuite {
       d <- tieFreeGen
       seed <- Gen.long
     } yield (d, new scala.util.Random(seed).shuffle((0 until d.n).toVector))
-    linkages.foreach { l =>
-      check(Prop.forAll(gen) { case (d, p) =>
-        val n = d.n
-        val permuted = Distance.fromFull(Array.tabulate(n, n)((i, j) => d(p(i), p(j))))
-        val a = Hac.cluster(d, l)
-        val b = Hac.cluster(permuted, l)
-        a.merges.map(_.height).zip(b.merges.map(_.height)).forall { case (x, y) => close(x, y) } &&
-          (for (i <- 0 until n; j <- i + 1 until n)
-            yield close(b.copheneticOf(i, j), a.copheneticOf(p(i), p(j)))).forall(identity)
-      }.label(l.name))
-    }
+    check(Prop.forAll(gen) { case (d, p) =>
+      val n = d.n
+      val permuted = DistMatrix(n, (for (i <- 0 until n; j <- i + 1 until n) yield d(p(i), p(j))).toArray)
+      val a = Hac.cluster(d)
+      val b = Hac.cluster(permuted)
+      a.merges.map(_.height).zip(b.merges.map(_.height)).forall { case (x, y) => close(x, y) } &&
+        (for (i <- 0 until n; j <- i + 1 until n)
+          yield close(b.copheneticOf(i, j), a.copheneticOf(p(i), p(j)))).forall(identity)
+    })
   }
 
   test("scaling every distance by c > 0 scales every height by c and keeps the merges") {
     val gen = for { d <- tieFreeGen; c <- Gen.choose(0.01, 100.0) } yield (d, c)
-    linkages.foreach { l =>
-      check(Prop.forAll(gen) { case (d, c) =>
-        val a = Hac.cluster(d, l)
-        val b = Hac.cluster(d.map(_ * c), l)
-        a.merges.map(m => (m.a, m.b, m.size)) == b.merges.map(m => (m.a, m.b, m.size)) &&
-          a.merges.zip(b.merges).forall { case (x, y) => close(c * x.height, y.height) }
-      }.label(l.name))
-    }
+    check(Prop.forAll(gen) { case (d, c) =>
+      val a = Hac.cluster(d)
+      val b = Hac.cluster(DistMatrix(d.n, d.condensed.map(_ * c)))
+      a.merges.map(m => (m.a, m.b, m.size)) == b.merges.map(m => (m.a, m.b, m.size)) &&
+        a.merges.zip(b.merges).forall { case (x, y) => close(c * x.height, y.height) }
+    })
   }
 
-  test("single-linkage heights are the sorted minimum-spanning-tree edge weights (Gower & Ross 1969)") {
-    // Prim's algorithm on the complete graph of the distance matrix.
-    def mstWeights(d: DistMatrix): Seq[Double] = {
-      val inTree = Array.tabulate(d.n)(_ == 0)
-      val best = Array.tabulate(d.n)(d(0, _))
-      (1 until d.n).map { _ =>
-        val v = (0 until d.n).filterNot(inTree).minBy(best(_))
-        inTree(v) = true
-        (0 until d.n).foreach(u => if (!inTree(u)) best(u) = math.min(best(u), d(v, u)))
-        best(v)
-      }.sorted
-    }
+  test("every merge joins the active pair with the smallest mean leaf distance, at that mean (UPGMA)") {
+    // Brute force over the leaf distances, independent of the Lance–Williams
+    // update: the mean is unweighted over leaf pairs, so clusters of
+    // different sizes weigh in by size.
     check(Prop.forAll(tieFreeGen) { d =>
-      Hac.cluster(d, Hac.Single).merges.map(_.height) == mstWeights(d)
+      val dend = Hac.cluster(d)
+      def mean(a: Set[Int], b: Set[Int]): Double =
+        (for (i <- a.toSeq; j <- b.toSeq) yield d(i, j)).sum / (a.size * b.size)
+      var active = (0 until d.n).toVector
+      dend.merges.zipWithIndex.forall { case (m, t) =>
+        val pairs = for (x <- active.indices; y <- x + 1 until active.size)
+          yield (active(x), active(y))
+        val (bi, bj) = pairs.minBy { case (i, j) => mean(dend.members(i), dend.members(j)) }
+        val expected = mean(dend.members(bi), dend.members(bj))
+        active = active.filterNot(id => id == m.a || id == m.b) :+ (d.n + t)
+        Set(m.a, m.b) == Set(bi, bj) && close(m.height, expected)
+      }
     })
   }
 }

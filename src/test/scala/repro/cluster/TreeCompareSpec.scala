@@ -6,7 +6,7 @@ class TreeCompareSpec extends AnyFunSuite {
 
   private val line = Distance.pdist(
     Seq(Array(0.0), Array(1.0), Array(10.0), Array(12.0)), Distance.euclidean)
-  private val tree = Hac.cluster(line, Hac.Average)
+  private val tree = Hac.cluster(line)
 
   test("pearson of identical arrays is 1") {
     assert(math.abs(TreeCompare.pearson(Array(1.0, 2, 3), Array(1.0, 2, 3)) - 1.0) < 1e-12)
@@ -37,7 +37,7 @@ class TreeCompareSpec extends AnyFunSuite {
     assert(math.abs(c - math.sqrt(217.0 / 227.0)) < 1e-12, c.toString)
     // HAC reproduces an ultrametric input exactly, so r = 1.
     val ultra = DistMatrix(4, Array(1.0, 10.5, 10.5, 10.5, 10.5, 2.0))
-    val r = TreeCompare.copheneticCorrelation(Hac.cluster(ultra, Hac.Average), ultra)
+    val r = TreeCompare.copheneticCorrelation(Hac.cluster(ultra), ultra)
     assert(math.abs(r - 1.0) < 1e-12, r.toString)
   }
 
@@ -79,14 +79,14 @@ class TreeCompareSpec extends AnyFunSuite {
     // tree2 groups {0,2} vs {1,3} — structurally opposed to `tree`
     val d2 = Distance.pdist(
       Seq(Array(0.0), Array(10.0), Array(1.0), Array(12.0)), Distance.euclidean)
-    val tree2 = Hac.cluster(d2, Hac.Average)
+    val tree2 = Hac.cluster(d2)
     val simSelf = TreeCompare.meanFowlkesMallows(tree, tree, 2 to 3)
     val simOther = TreeCompare.meanFowlkesMallows(tree, tree2, 2 to 3)
     assert(simSelf > simOther)
   }
 
   test("mismatched leaf counts are rejected") {
-    val t2 = Hac.cluster(DistMatrix(2, Array(1.0)), Hac.Average)
+    val t2 = Hac.cluster(DistMatrix(2, Array(1.0)))
     intercept[IllegalArgumentException](TreeCompare.copheneticCorrelation(tree, t2.cophenetic))
     intercept[IllegalArgumentException](TreeCompare.meanFowlkesMallows(tree, t2, 2 to 2))
     intercept[IllegalArgumentException](

@@ -88,14 +88,6 @@ class PatternMinerSpec extends SparkSpec {
     assert(cp.supportOf(Set("no-such-item-xyz")).isEmpty)
   }
 
-  test("mining respects the itemsCol argument (ingredients-only mining)") {
-    val ingOnly = PatternMiner.minePerCuisine(
-      recipes.filter($"cuisine" === "Greek"), itemsCol = "ingredients")
-    val items = ingOnly.head.itemsets.flatMap(_.items).toSet
-    assert(items.nonEmpty)
-    items.foreach(i => assert(repro.recipedb.Items.category(i) == repro.recipedb.Items.Ingredient, i))
-  }
-
   test("a custom support threshold is honoured") {
     val strict = PatternMiner.minePerCuisine(
       recipes.filter($"cuisine" === "Greek"), minSupport = 0.5)
