@@ -16,11 +16,10 @@ import scala.collection.mutable
   * DESIGN.md errata). The mean over k ≠ c includes cuisines where the item
   * never occurs (P = 0), so the matrix is dense over cuisines × items.
   *
-  * Spark computes only the two counts, N_c and n_i^c, in one job with no
-  * shuffle: each input partition counts its own rows per cuisine and
-  * returns one partial [[CuisineCounts]] per cuisine it holds, and the
-  * driver adds the partials up. The partials grow with input partitions ×
-  * cuisines (4 × 26 small maps at SF=1 on 4 cores), not with recipes. Both
+  * Spark computes only the two counts, N_c and n_i^c, in one
+  * [[CuisinePass]]: the task that holds a cuisine's recipes counts them and,
+  * per recipe, its distinct ingredients, and returns one [[CuisineCounts]]
+  * per cuisine. `Pipeline.run` counts in the same pass as it mines. Both
   * counts are oracle-checked against DuckDB in the test suite. The dense
   * cuisines × items matrix (26 × ~20k doubles, about 4 MB, at SF=1) is
   * filled in on the driver.
@@ -36,28 +35,18 @@ object Authenticity {
     * `recipes`, sorted by cuisine. Fails if a recipe's `ingredients` array
     * is null.
     */
-  def itemCounts(recipes: DataFrame): Seq[CuisineCounts] = {
-    val spark = recipes.sparkSession
-    import spark.implicits._
-    val partials = recipes.select(recipes("cuisine"), recipes("ingredients"))
-      .as[(String, Seq[String])]
-      .mapPartitions { rows =>
-        val nRecipes = mutable.HashMap.empty[String, Long]
-        val withItem = mutable.HashMap.empty[String, mutable.HashMap[String, Long]]
-        rows.foreach { case (cuisine, items) =>
-          require(items != null, s"null ingredients array in a recipe of cuisine $cuisine")
-          nRecipes(cuisine) = nRecipes.getOrElse(cuisine, 0L) + 1
-          val counts = withItem.getOrElseUpdate(cuisine, mutable.HashMap.empty)
-          // recipe-level presence, robust to duplicate items
-          items.distinct.foreach(i => counts(i) = counts.getOrElse(i, 0L) + 1)
-        }
-        nRecipes.iterator.map { case (c, n) => CuisineCounts(c, n, withItem(c).toMap) }
-      }
-      .collect()
-    partials.groupBy(_.cuisine).toSeq.sortBy(_._1).map { case (cuisine, ps) =>
-      CuisineCounts(cuisine, ps.map(_.nRecipes).sum,
-        ps.flatMap(_.withItem).groupMapReduce(_._1)(_._2)(_ + _))
-    }
+  def itemCounts(recipes: DataFrame): Seq[CuisineCounts] =
+    CuisinePass.results(CuisinePass(recipes, "ingredients") { (cuisine, arrays) =>
+      count(cuisine, arrays(0))
+    })
+
+  /** One cuisine's counts, from its recipes' ingredient arrays. A recipe
+    * counts once however often it lists an item.
+    */
+  private[core] def count(cuisine: String, ingredients: Seq[Seq[String]]): CuisineCounts = {
+    val withItem = mutable.HashMap.empty[String, Long]
+    ingredients.foreach(_.distinct.foreach(i => withItem(i) = withItem.getOrElse(i, 0L) + 1))
+    CuisineCounts(cuisine, ingredients.size.toLong, withItem.toMap)
   }
 
   final case class Fingerprints(
@@ -66,12 +55,16 @@ object Authenticity {
       matrix: Array[Array[Double]], // rel_prevalence, rows = cuisines
   )
 
-  /** Dense relative-prevalence fingerprint matrix, rows sorted by cuisine
-    * and columns by item so the result is deterministic. Needs at least two
-    * cuisines. `spark` is unused; the benchmark harness still passes it.
+  /** Dense relative-prevalence fingerprint matrix of the `ingredients` of
+    * `recipes`, rows sorted by cuisine and columns by item so the result is
+    * deterministic. Needs at least two cuisines. `spark` is unused; the
+    * benchmark harness still passes it.
     */
-  def fingerprints(spark: SparkSession, recipes: DataFrame): Fingerprints = {
-    val counts = itemCounts(recipes)
+  def fingerprints(spark: SparkSession, recipes: DataFrame): Fingerprints =
+    fromCounts(itemCounts(recipes))
+
+  /** The fingerprint matrix of per-cuisine counts sorted by cuisine. */
+  private[core] def fromCounts(counts: Seq[CuisineCounts]): Fingerprints = {
     val k = counts.length
     require(k >= 2, "relative prevalence needs at least two cuisines")
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.cluster._
 import repro.geo.Regions
 import repro.recipedb.RecipeGen
@@ -9,6 +9,11 @@ import repro.recipedb.RecipeGen
   * vectors → HAC under three metrics (Figs 2–4), authenticity HAC (Fig 5),
   * geographic HAC (Fig 6), and the quantified tree comparisons behind the
   * paper's §VII validation narrative.
+  *
+  * Spark runs one [[CuisinePass]] per reproduction: it mines each cuisine's
+  * `items` and counts its `ingredients` in the same task. Everything after
+  * it runs on the driver. On cached RecipeGen data the pass is one Spark job
+  * with no shuffle.
   */
 object Pipeline {
 
@@ -40,10 +45,11 @@ object Pipeline {
 
   /** Run everything on an existing recipes DataFrame, at the paper's
     * settings: minimum support 0.2 and average linkage. Needs at least three
-    * cuisines.
+    * cuisines, and fails if a recipe's `items` or `ingredients` array is
+    * null. `spark` is unused; the benchmark harness still passes it.
     */
   def run(spark: SparkSession, recipes: DataFrame): Results = {
-    val patterns = PatternMiner.minePerCuisine(recipes, PatternMiner.PaperMinSupport)
+    val (patterns, counts) = CuisinePass.results(cuisinePass(recipes)).unzip
     require(patterns.size >= 3,
       s"need at least three cuisines, got ${patterns.size}: the geography comparison " +
         "cuts the trees at k = 2..min(12, n - 1)")
@@ -55,9 +61,7 @@ object Pipeline {
       m -> Hac.cluster(Distance.pdist(vectors, Distance.byName(m)))
     }.toMap
 
-    val fp = Authenticity.fingerprints(spark, recipes)
-    require(fp.cuisines == cuisines,
-      s"cuisine order mismatch: ${fp.cuisines} vs $cuisines")
+    val fp = Authenticity.fromCounts(counts)
     val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean))
 
     val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines))
@@ -69,6 +73,16 @@ object Pipeline {
 
     Results(cuisines, patterns, features, patternTrees, authTree, geoTree, sims)
   }
+
+  /** The Spark pass of [[run]]: each cuisine's patterns at the paper's
+    * support and its fingerprint counts.
+    */
+  private[core] def cuisinePass(
+      recipes: DataFrame): Dataset[(String, (PatternMiner.CuisinePatterns, Authenticity.CuisineCounts))] =
+    CuisinePass(recipes, "items", "ingredients") { (cuisine, arrays) =>
+      (PatternMiner.mine(cuisine, arrays(0), PatternMiner.PaperMinSupport),
+        Authenticity.count(cuisine, arrays(1)))
+    }
 
   /** Generate data at `sf` (seed 42) and run everything. */
   def runAtScale(spark: SparkSession, sf: Double): Results =

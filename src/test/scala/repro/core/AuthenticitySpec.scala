@@ -128,7 +128,7 @@ class AuthenticitySpec extends SparkSpec {
   }
 
   test("fingerprints run in one Spark job") {
-    // Per-partition partial counts, collected and merged: no shuffle.
+    // One grouped pass over the cached recipes, already clustered by cuisine.
     gen.count() // materialise the cache outside the counted jobs
     val (fp, jobs) = sparkJobsOf(Authenticity.fingerprints(spark, gen))
     assert(fp.cuisines.size == 26)

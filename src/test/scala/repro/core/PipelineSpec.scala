@@ -1,12 +1,19 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import repro.SparkSpec
+import repro.fpm.Itemsets
 import repro.recipedb.RecipeGen
 
-class PipelineSpec extends SparkSpec {
+class PipelineSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   // One full pipeline run at small scale, shared by the assertions below.
   private lazy val res = Pipeline.runAtScale(spark, 0.02)
+
+  private lazy val cached = RecipeGen.recipes(spark, 0.02).cache()
 
   test("pipeline yields all 26 cuisines in sorted order") {
     assert(res.cuisines.size == 26)
@@ -69,5 +76,54 @@ class PipelineSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](Pipeline.run(spark, two))
     assert(e.getMessage.contains("need at least three cuisines, got 2"), e.getMessage)
     assert(e.getMessage.contains("k = 2..min(12, n - 1)"), e.getMessage)
+  }
+
+  test("a reproduction on cached RecipeGen data is one Spark job with no shuffle") {
+    cached.count() // materialise the cache outside the counted jobs
+    val (out, jobs) = sparkJobsOf(Pipeline.run(spark, cached))
+    assert(out.cuisines.size == 26)
+    assert(jobs == 1, s"$jobs Spark jobs")
+    val pass = Pipeline.cuisinePass(cached)
+    pass.collect()
+    val plan = pass.queryExecution.executedPlan
+    assert(collect(plan) { case s: ShuffleExchangeLike => s }.isEmpty, plan.toString)
+    assert(collect(plan) { case s: InMemoryTableScanExec => s }.size == 1, plan.toString)
+  }
+
+  test("results do not depend on how the recipes are partitioned") {
+    def outputs(df: DataFrame) = {
+      val (patterns, counts) = CuisinePass.results(Pipeline.cuisinePass(df)).unzip
+      val res = Pipeline.run(spark, df)
+      val trees = res.patternTrees + ("authenticity" -> res.authTree) + ("geo" -> res.geoTree)
+      (patterns, counts, Authenticity.fingerprints(spark, df), trees.map { case (k, t) => k -> t.newick(res.cuisines) })
+    }
+    val (patterns, counts, fp, newick) = outputs(cached)
+    Seq(1, 3).foreach { n =>
+      val (p, c, f, nw) = outputs(cached.repartition(n))
+      assert(p.map(_.cuisine) == patterns.map(_.cuisine), s"$n partitions")
+      p.zip(patterns).foreach { case (a, b) =>
+        assert(a.nRecipes == b.nRecipes, s"$n partitions, ${a.cuisine}")
+        val d = Itemsets.diff(a.itemsets, b.itemsets)
+        assert(d.isEmpty, s"$n partitions, ${a.cuisine}: ${d.take(5)}")
+      }
+      assert(c == counts, s"$n partitions")
+      assert(f.cuisines == fp.cuisines && f.items == fp.items, s"$n partitions")
+      val worst = f.matrix.flatten.zip(fp.matrix.flatten[Double]).map { case (u, v) => math.abs(u - v) }.max
+      assert(worst <= 1e-12, s"$n partitions: worst cell difference $worst")
+      assert(nw == newick, s"$n partitions")
+    }
+  }
+
+  test("run rejects a null items or ingredients array with the cuisine and column named") {
+    import spark.implicits._
+    val ok = Seq((0L, "Greek", Seq("x"), Seq("x", "bake")))
+    Seq(
+      (1L, "Greek", Seq("y"), null: Seq[String]) -> "null items array in a recipe of cuisine Greek",
+      (1L, "Greek", null: Seq[String], Seq("y")) -> "null ingredients array in a recipe of cuisine Greek",
+    ).foreach { case (bad, message) =>
+      val df = (ok :+ bad).toDF("id", "cuisine", "ingredients", "items")
+      val e = intercept[Exception](Pipeline.run(spark, df))
+      assert(e.getMessage.contains(message), e.getMessage)
+    }
   }
 }

@@ -58,4 +58,22 @@ class MaximalPropertySpec extends AnyFunSuite {
       top.foreach(fi => assert(maximalSets.contains(fi.items.toSet)))
     }
   }
+
+  test("maximal keeps exactly the listed itemsets with no strict superset in the list") {
+    // Lists that are not downward closed and repeat sets, unlike mined output.
+    val alphabet = ('a' to 'f').map(_.toString)
+    (1 to 50).foreach { seed =>
+      val rnd = new scala.util.Random(seed)
+      val distinct = Seq.fill(rnd.nextInt(25)) {
+        val items = rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1))
+        FreqItemset(items, 1L + rnd.nextInt(9), rnd.nextDouble())
+      }
+      val list = rnd.shuffle(distinct ++ distinct.filter(_ => rnd.nextBoolean()))
+      val expected = list.filter { fi =>
+        val s = fi.items.toSet
+        !list.exists { o => val t = o.items.toSet; s.subsetOf(t) && !t.subsetOf(s) }
+      }
+      assert(Itemsets.maximal(list) == expected, s"seed $seed")
+    }
+  }
 }

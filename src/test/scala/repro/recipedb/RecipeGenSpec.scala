@@ -32,6 +32,14 @@ class RecipeGenSpec extends SparkSpec {
     assert(one == many)
   }
 
+  test("each cuisine's recipes sit in one partition, over defaultParallelism partitions") {
+    assert(df.rdd.getNumPartitions == spark.sparkContext.defaultParallelism)
+    val spread = df.select(col("cuisine"), spark_partition_id().as("p")).distinct()
+      .groupBy("cuisine").count().filter(col("count") =!= 1).collect()
+    assert(spread.isEmpty, spread.mkString(", "))
+    assert(df.select("cuisine").distinct().count() == CuisineSpecs.all.size)
+  }
+
   test("total row count matches the cuisine ranges") {
     assert(df.count() == RecipeGen.totalRecipes(sf))
   }
