@@ -3,13 +3,12 @@ package repro.bench
 import repro.SparkSpec
 import repro.core.Pipeline
 
-/** The one reproduction the bench suites share: the scale factor comes from
-  * REPRO_BENCH_SF (default 1.0 = Table I's exact recipe counts), and the
-  * pipeline runs once per bench JVM, on first use.
+/** The one reproduction the bench suites share: at SF=1, Table I's exact
+  * recipe counts, run once per bench JVM, on first use.
   */
 object BenchRun {
 
-  val sf: Double = sys.env.getOrElse("REPRO_BENCH_SF", "1.0").toDouble
+  val sf = 1.0
 
   lazy val results: Pipeline.Results = Pipeline.runAtScale(SparkSpec.shared, sf)
 }

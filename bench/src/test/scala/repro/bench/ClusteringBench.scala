@@ -26,9 +26,9 @@ class ClusteringBench extends SparkSpec {
     val can = res.leafIndex("Canadian")
     val fr = res.leafIndex("French")
     val us = res.leafIndex("US")
-    println(f"pattern/euclid cophenetic: Canadian-French ${t.copheneticOf(can, fr)}%.3f " +
-      f"Canadian-US ${t.copheneticOf(can, us)}%.3f")
-    assert(t.copheneticOf(can, fr) < t.copheneticOf(can, us))
+    println(f"pattern/euclid cophenetic: Canadian-French ${t.cophenetic(can, fr)}%.3f " +
+      f"Canadian-US ${t.cophenetic(can, us)}%.3f")
+    assert(t.cophenetic(can, fr) < t.cophenetic(can, us))
   }
 
   test("claim (§VII): Canadian is closer to French than to US — authenticity tree") {
@@ -36,9 +36,9 @@ class ClusteringBench extends SparkSpec {
     val can = res.leafIndex("Canadian")
     val fr = res.leafIndex("French")
     val us = res.leafIndex("US")
-    println(f"authenticity cophenetic: Canadian-French ${t.copheneticOf(can, fr)}%.3f " +
-      f"Canadian-US ${t.copheneticOf(can, us)}%.3f")
-    assert(t.copheneticOf(can, fr) < t.copheneticOf(can, us))
+    println(f"authenticity cophenetic: Canadian-French ${t.cophenetic(can, fr)}%.3f " +
+      f"Canadian-US ${t.cophenetic(can, us)}%.3f")
+    assert(t.cophenetic(can, fr) < t.cophenetic(can, us))
   }
 
   test("claim (§VII): Indian Subcontinent groups with Northern Africa, not its geographic neighbours") {
@@ -47,10 +47,10 @@ class ClusteringBench extends SparkSpec {
     val na = res.leafIndex("Northern Africa")
     val thai = res.leafIndex("Thai")
     val sea = res.leafIndex("Southeast Asian")
-    println(f"authenticity cophenetic: Indian-N.Africa ${t.copheneticOf(ind, na)}%.3f " +
-      f"Indian-Thai ${t.copheneticOf(ind, thai)}%.3f Indian-SEAsia ${t.copheneticOf(ind, sea)}%.3f")
-    assert(t.copheneticOf(ind, na) < t.copheneticOf(ind, thai))
-    assert(t.copheneticOf(ind, na) < t.copheneticOf(ind, sea))
+    println(f"authenticity cophenetic: Indian-N.Africa ${t.cophenetic(ind, na)}%.3f " +
+      f"Indian-Thai ${t.cophenetic(ind, thai)}%.3f Indian-SEAsia ${t.cophenetic(ind, sea)}%.3f")
+    assert(t.cophenetic(ind, na) < t.cophenetic(ind, thai))
+    assert(t.cophenetic(ind, na) < t.cophenetic(ind, sea))
   }
 
   test("claim (§VII): East Asian cuisines cluster together (cosine/jaccard pattern trees)") {
@@ -64,8 +64,8 @@ class ClusteringBench extends SparkSpec {
       val kr = res.leafIndex("Korean")
       val jp = res.leafIndex("Japanese")
       val uk = res.leafIndex("UK")
-      val eastPairs = Seq(t.copheneticOf(cn, kr), t.copheneticOf(cn, jp), t.copheneticOf(kr, jp))
-      assert(eastPairs.max <= t.copheneticOf(cn, uk), m)
+      val eastPairs = Seq(t.cophenetic(cn, kr), t.cophenetic(cn, jp), t.cophenetic(kr, jp))
+      assert(eastPairs.max <= t.cophenetic(cn, uk), m)
     }
   }
 

@@ -7,9 +7,9 @@ import repro.recipedb.CuisineSpecs
 /** Reproduces Table I (the paper's only table): per-cuisine FP-Growth at
   * support 0.2 over the full synthetic RecipeDB.
   *
-  * Reads the shared `BenchRun` (REPRO_BENCH_SF, default 1.0 = Table I
-  * recipe counts exactly). Prints the paper-vs-measured table — the run that feeds
-  * EXPERIMENTS.md — and asserts the reproduction-shape properties.
+  * Reads the shared `BenchRun` (SF=1, Table I's recipe counts exactly).
+  * Prints the paper-vs-measured table — the run that feeds EXPERIMENTS.md —
+  * and asserts the reproduction-shape properties.
   */
 class TableIBench extends SparkSpec {
 
@@ -64,10 +64,8 @@ class TableIBench extends SparkSpec {
   }
 
   test("recipe counts match Table I at SF=1") {
-    if (sf == 1.0) {
-      rows.groupBy(_.cuisine).foreach { case (c, rs) =>
-        assert(rs.head.nRecipes == CuisineSpecs.byName(c).nRecipes, c)
-      }
+    rows.groupBy(_.cuisine).foreach { case (c, rs) =>
+      assert(rs.head.nRecipes == CuisineSpecs.byName(c).nRecipes, c)
     }
   }
 }

@@ -54,8 +54,6 @@ final case class Dendrogram(nLeaves: Int, merges: IndexedSeq[Merge]) {
     dm
   }
 
-  def copheneticOf(i: Int, j: Int): Double = cophenetic(i, j)
-
   /** Newick string of the tree's topology (no branch lengths), e.g. for
     * external viewers.
     */

@@ -2,8 +2,8 @@ package repro.cluster
 
 import scala.util.Random
 
-/** Seeded k-means (k-means++ init, Lloyd iterations) and the elbow/WCSS
-  * sweep of the paper's Figure 1. Driver-side — 26 cuisine vectors do not
+/** k-means (k-means++ init, Lloyd iterations) and the elbow/WCSS sweep of
+  * the paper's Figure 1. Driver-side — 26 cuisine vectors do not
   * need a distributed implementation.
   */
 object KMeans {
@@ -12,6 +12,7 @@ object KMeans {
 
   private val MaxSteps = 100
   private val Runs = 8
+  private val Seed = 7L
 
   private def sqDist(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0
@@ -87,11 +88,13 @@ object KMeans {
     Result(centers, labels, wcss)
   }
 
-  /** Best of eight seeded runs (lowest WCSS) — deterministic in seed. */
-  def fit(x: Array[Array[Double]], k: Int, seed: Long = 7): Result =
-    (0 until Runs).map(r => fitOnce(x, k, seed + r * 1000003L)).minBy(_.wcss)
+  /** Best of eight runs (lowest WCSS), each with a fixed seed, so the
+    * result is deterministic.
+    */
+  def fit(x: Array[Array[Double]], k: Int): Result =
+    (0 until Runs).map(r => fitOnce(x, k, Seed + r * 1000003L)).minBy(_.wcss)
 
   /** WCSS for each k — the numbers behind the paper's elbow plot (Fig 1). */
-  def elbow(x: Array[Array[Double]], ks: Seq[Int], seed: Long = 7): Seq[(Int, Double)] =
-    ks.map(k => k -> fit(x, k, seed).wcss)
+  def elbow(x: Array[Array[Double]], ks: Seq[Int]): Seq[(Int, Double)] =
+    ks.map(k => k -> fit(x, k).wcss)
 }

@@ -69,13 +69,9 @@ object Authenticity {
     require(k >= 2, "relative prevalence needs at least two cuisines")
 
     val cuisines = counts.map(_.cuisine).toIndexedSeq
-    val items = counts.flatMap(_.withItem.keys).distinct.sorted.toIndexedSeq
-    val ii = items.zipWithIndex.toMap
-    val m = counts.map { c => // P, zero-filled
-      val row = new Array[Double](items.size)
-      c.withItem.foreach { case (i, n) => row(ii(i)) = n.toDouble / c.nRecipes }
-      row
-    }.toArray
+    val (items, m) = DenseRows(counts.map { c => // P, zero-filled
+      c.withItem.view.map { case (i, n) => i -> n.toDouble / c.nRecipes }
+    })
     val sums = new Array[Double](items.size)
     m.foreach(row => row.indices.foreach(j => sums(j) += row(j)))
     m.foreach(row => row.indices.foreach(j => row(j) -= (sums(j) - row(j)) / (k - 1)))

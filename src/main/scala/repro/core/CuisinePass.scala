@@ -20,8 +20,9 @@ private[core] object CuisinePass {
 
   /** Applies `perCuisine` to every cuisine of `recipes`, with that cuisine's
     * arrays of each of `columns`, in the order of `columns` and each in the
-    * order of the cuisine's rows. Fails, naming the column and the cuisine,
-    * if a recipe's array is null. Lazy: [[results]] runs the pass.
+    * order of the cuisine's rows. Fails, naming the column, if a recipe's
+    * `cuisine` is null, or if its array is null (naming the cuisine too).
+    * Lazy: [[results]] runs the pass.
     */
   def apply[R: TypeTag](recipes: DataFrame, columns: String*)(
       perCuisine: (String, IndexedSeq[Vector[Seq[String]]]) => R): Dataset[(String, R)] = {
@@ -29,6 +30,7 @@ private[core] object CuisinePass {
     selected.groupBy("cuisine")
       .as[String, Row](Encoders.STRING, Encoders.row(selected.schema))
       .mapGroups { (cuisine, rows) =>
+        require(cuisine != null, "null cuisine column in a recipe")
         val arrays = IndexedSeq.fill(columns.size)(Vector.newBuilder[Seq[String]])
         rows.foreach { row =>
           arrays.indices.foreach { j =>

@@ -21,16 +21,8 @@ object PatternFeatures {
   def fromPatterns(perCuisine: Seq[PatternMiner.CuisinePatterns]): Features = {
     val cuisines = perCuisine.map(_.cuisine).toIndexedSeq
     require(cuisines.distinct.size == cuisines.size, "duplicate cuisine rows")
-    val stringPatterns: Seq[(String, Set[String])] = perCuisine.map { cp =>
-      cp.cuisine -> cp.itemsets.map(fi => Itemsets.patternString(fi.items)).toSet
-    }
-    val universe = stringPatterns.flatMap(_._2).distinct.sorted.toIndexedSeq
-    val index = universe.zipWithIndex.toMap
-    val matrix = stringPatterns.map { case (_, pats) =>
-      val row = new Array[Double](universe.size)
-      pats.foreach(p => row(index(p)) = 1.0)
-      row
-    }.toArray
+    val (universe, matrix) =
+      DenseRows(perCuisine.map(_.itemsets.map(fi => Itemsets.patternString(fi.items) -> 1.0)))
     Features(cuisines, universe, matrix)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.fpm.{FPGrowth, FreqItemset, Itemsets}
+import repro.recipedb.CuisineSpecs
 
 /** §IV–V.A of the paper: per-cuisine frequent pattern mining.
   *
@@ -21,7 +22,7 @@ import repro.fpm.{FPGrowth, FreqItemset, Itemsets}
   */
 object PatternMiner {
 
-  val PaperMinSupport = 0.2
+  val PaperMinSupport: Double = CuisineSpecs.MinSupport
 
   final case class CuisinePatterns(
       cuisine: String,

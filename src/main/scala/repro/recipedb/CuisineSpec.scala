@@ -1,6 +1,6 @@
 package repro.recipedb
 
-import scala.collection.mutable
+import scala.annotation.tailrec
 
 /** A pattern named in Table I of the paper, with the support it reports. */
 final case class NamedPattern(items: Set[String], paperSupport: Double) {
@@ -58,49 +58,31 @@ object CuisineSpecs {
     */
   val Margin = 0.01
 
-  /** Expected number of frequent itemsets at `minSup` when items are
-    * included independently with the given probabilities: counts every
-    * non-empty subset whose probability product is >= minSup. DFS over
-    * probabilities sorted descending with branch-and-bound pruning.
+  /** The paper's mining threshold (§IV), which the calibration targets:
+    * `repro.core.PatternMiner.PaperMinSupport` is this value.
     */
-  def expectedFrequentItemsets(probs: Iterable[Double], minSup: Double): Long = {
-    val ps = probs.filter(_ >= minSup).toArray.sortBy(-_)
-    def rec(start: Int, prod: Double): Long = {
-      var c = 0L
-      var j = start
-      var continue = true
-      while (j < ps.length && continue) {
-        val p2 = prod * ps(j)
-        if (p2 >= minSup) { c += 1 + rec(j + 1, p2) } else continue = false
-        j += 1
-      }
-      c
-    }
-    rec(0, 1.0)
-  }
+  final val MinSupport = 0.2
 
-  /** The expected frequent itemsets themselves (not just the count): every
-    * non-empty item subset whose probability product is >= minSup. Used to
-    * reason about the pattern feature space analytically (tests, docs).
+  /** The expected frequent itemsets when items are included independently
+    * with the given probabilities: every non-empty item subset whose
+    * probability product is >= [[MinSupport]], each as a list of its items.
+    * DFS over the items sorted by descending probability, with
+    * branch-and-bound pruning. The calibration counts them.
     */
-  def expectedFrequentItemsetSets(probs: Map[String, Double], minSup: Double): Set[Set[String]] = {
-    val ps = probs.filter(_._2 >= minSup).toArray.sortBy { case (n, p) => (-p, n) }
-    val out = Set.newBuilder[Set[String]]
-    def rec(start: Int, prod: Double, acc: List[String]): Unit = {
+  def expectedFrequentItemsets(probs: Map[String, Double]): Seq[List[String]] = {
+    val (names, ps) = probs.toArray.filter(_._2 >= MinSupport).sortBy(-_._2).unzip
+    var out = List.empty[List[String]]
+    def rec(start: Int, prod: Double, itemset: List[String]): Unit = {
       var j = start
-      var continue = true
-      while (j < ps.length && continue) {
-        val (name, p) = ps(j)
-        val p2 = prod * p
-        if (p2 >= minSup) {
-          out += (name :: acc).toSet
-          rec(j + 1, p2, name :: acc)
-        } else continue = false
+      while (j < ps.length && prod * ps(j) >= MinSupport) {
+        val next = names(j) :: itemset
+        out ::= next
+        rec(j + 1, prod * ps(j), next)
         j += 1
       }
     }
     rec(0, 1.0, Nil)
-    out.result()
+    out
   }
 
   /** Probability levels the calibrator may assign to a filler item, tried
@@ -112,25 +94,23 @@ object CuisineSpecs {
   private val FillerLevels = Seq(0.37, 0.33, 0.29, 0.24)
 
   /** Append fillers from the family pool until the expected itemset count
-    * reaches the paper target (greedy largest-level-that-fits).
+    * reaches the paper target (greedy largest-level-that-fits). Stops when
+    * even the lowest level overshoots.
     */
   private def calibrate(base: Map[String, Double], family: String, target: Int): Map[String, Double] = {
-    val pool = Items.fillerPools(family).filterNot(base.contains)
-    var probs = base
-    var poolIdx = 0
-    var expected = expectedFrequentItemsets(probs.values, 0.2)
-    while (expected < target && poolIdx < pool.length) {
-      val item = pool(poolIdx)
-      val choice = FillerLevels
-        .find(l => expectedFrequentItemsets((probs + (item -> l)).values, 0.2) <= target)
-        .getOrElse(FillerLevels.last)
-      val next = probs + (item -> choice)
-      val nextExpected = expectedFrequentItemsets(next.values, 0.2)
-      if (nextExpected <= target) { probs = next; expected = nextExpected }
-      else poolIdx = pool.length // even the lowest level overshoots: stop
-      poolIdx += 1
-    }
-    probs
+    @tailrec def grow(probs: Map[String, Double], expected: Int, pool: List[String]): Map[String, Double] =
+      pool match {
+        case item :: rest if expected < target =>
+          FillerLevels.iterator
+            .map(l => probs + (item -> l))
+            .map(next => next -> expectedFrequentItemsets(next).size)
+            .find(_._2 <= target) match {
+            case Some((next, nextExpected)) => grow(next, nextExpected, rest)
+            case None => probs
+          }
+        case _ => probs
+      }
+    grow(base, expectedFrequentItemsets(base).size, Items.fillerPools(family).filterNot(base.contains).toList)
   }
 
   private def spec(
@@ -149,7 +129,7 @@ object CuisineSpecs {
     val s = CuisineSpec(name, nRecipes, family, probs, named, paperCount)
     named.foreach { np =>
       val exp = s.expectedSupport(np.items)
-      require(exp >= 0.2,
+      require(exp >= MinSupport,
         s"$name named pattern ${np.label} expected support $exp < mining threshold")
     }
     s

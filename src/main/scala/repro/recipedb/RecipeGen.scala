@@ -75,9 +75,11 @@ object RecipeGen {
     * caches the DataFrame caches this layout, and the per-cuisine pass of
     * `repro.core` then reads it with no shuffle. The partition count is
     * explicit, so adaptive query execution keeps it. Row contents do not
-    * depend on the partitioning (see above).
+    * depend on the partitioning (see above). Fails unless `sf` is positive
+    * and finite.
     */
-  def recipes(spark: SparkSession, sf: Double = 0.05, seed: Long = 42): DataFrame = {
+  def recipes(spark: SparkSession, sf: Double, seed: Long = 42): DataFrame = {
+    require(sf > 0 && sf < Double.PositiveInfinity, s"scale factor $sf is not positive and finite")
     import spark.implicits._
     val ranges = cuisineRanges(sf)
     val pool = rarePoolSize(sf)

@@ -6,13 +6,13 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test: one local-mode SparkSession for the whole run,
+  * built as `repro.jobs.ReproJob` builds its own (master and app name only),
+  * so the tests run on Spark's default settings, as users do.
   *
   * The forked test JVM's driver heap (``-Xmx``) is set in build.sbt:
   * SPARK_DRIVER_MEM if it is set, else half of the machine's memory
-  * (``MemTotal`` in /proc/meminfo) clamped to 2–8 GB. Shuffles use
-  * SPARK_SHUFFLE_PARTITIONS partitions (default 64); broadcast joins are
-  * disabled.
+  * (``MemTotal`` in /proc/meminfo) clamped to 2–8 GB.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -54,13 +54,9 @@ trait SparkSpec extends AnyFunSuite {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+      .appName("repro").getOrCreate()
     // One line in test output that records the memory setting and the
     // parallelism the run actually used.
     Console.err.println(

@@ -81,10 +81,10 @@ class HacSpec extends AnyFunSuite {
 
   test("cophenetic distances reflect merge heights") {
     val dend = Hac.cluster(line)
-    assert(dend.copheneticOf(0, 1) == 1.0)
-    assert(dend.copheneticOf(2, 3) == 2.0)
-    assert(math.abs(dend.copheneticOf(0, 3) - 10.5) < 1e-9)
-    assert(dend.copheneticOf(1, 0) == dend.copheneticOf(0, 1))
+    assert(dend.cophenetic(0, 1) == 1.0)
+    assert(dend.cophenetic(2, 3) == 2.0)
+    assert(math.abs(dend.cophenetic(0, 3) - 10.5) < 1e-9)
+    assert(dend.cophenetic(1, 0) == dend.cophenetic(0, 1))
   }
 
   test("members tracks leaves through merges") {
@@ -129,7 +129,7 @@ class HacSpec extends AnyFunSuite {
       val b = Hac.cluster(permuted)
       a.merges.map(_.height).zip(b.merges.map(_.height)).forall { case (x, y) => close(x, y) } &&
         (for (i <- 0 until n; j <- i + 1 until n)
-          yield close(b.copheneticOf(i, j), a.copheneticOf(p(i), p(j)))).forall(identity)
+          yield close(b.cophenetic(i, j), a.cophenetic(p(i), p(j)))).forall(identity)
     })
   }
 

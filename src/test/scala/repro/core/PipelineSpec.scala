@@ -67,7 +67,7 @@ class PipelineSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val jp = res.leafIndex("Japanese")
     val kr = res.leafIndex("Korean")
     val fr = res.leafIndex("French")
-    assert(t.copheneticOf(jp, kr) < t.copheneticOf(jp, fr))
+    assert(t.cophenetic(jp, kr) < t.cophenetic(jp, fr))
   }
 
   test("run rejects fewer than three cuisines before any clustering") {
@@ -120,6 +120,7 @@ class PipelineSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     Seq(
       (1L, "Greek", Seq("y"), null: Seq[String]) -> "null items array in a recipe of cuisine Greek",
       (1L, "Greek", null: Seq[String], Seq("y")) -> "null ingredients array in a recipe of cuisine Greek",
+      (1L, null: String, Seq("y"), Seq("y")) -> "null cuisine column in a recipe",
     ).foreach { case (bad, message) =>
       val df = (ok :+ bad).toDF("id", "cuisine", "ingredients", "items")
       val e = intercept[Exception](Pipeline.run(spark, df))

@@ -40,13 +40,17 @@ class CuisineSpecSpec extends AnyFunSuite {
     assert(s.nAt(0.0001) == 40L)
   }
 
+  /** Distinct item names, so duplicate probability values count as the
+    * distinct items they represent.
+    */
+  private def named(ps: Seq[Double]): Map[String, Double] =
+    ps.zipWithIndex.map { case (p, i) => s"i$i" -> p }.toMap
+
   test("expectedFrequentItemsets matches exhaustive enumeration on small inputs") {
-    def exhaustive(ps: Seq[Double], minSup: Double): Long =
-      // enumerate subsets by index so duplicate probability values count
-      // as the distinct items they represent
-      (1 until (1 << ps.size)).count { mask =>
-        ps.indices.filter(i => (mask & (1 << i)) != 0).map(ps).product >= minSup
-      }.toLong
+    def exhaustive(ps: Seq[Double], minSup: Double): Set[Set[String]] =
+      (1 until (1 << ps.size)).map { mask =>
+        ps.indices.filter(i => (mask & (1 << i)) != 0)
+      }.filter(_.map(ps).product >= minSup).map(_.map(i => s"i$i").toSet).toSet
     val cases = Seq(
       Seq(0.5, 0.4, 0.3),
       Seq(0.9, 0.8, 0.7, 0.6),
@@ -56,14 +60,15 @@ class CuisineSpecSpec extends AnyFunSuite {
       Seq(0.1, 0.05),
     )
     cases.foreach { ps =>
-      assert(CuisineSpecs.expectedFrequentItemsets(ps, 0.2) == exhaustive(ps, 0.2),
-        s"probs $ps")
+      val got = CuisineSpecs.expectedFrequentItemsets(named(ps)).map(_.toSet)
+      val want = exhaustive(ps, CuisineSpecs.MinSupport)
+      assert(got.size == want.size && got.toSet == want, s"probs $ps")
     }
   }
 
   test("expectedFrequentItemsets: single frequent item counts once") {
-    assert(CuisineSpecs.expectedFrequentItemsets(Seq(0.25), 0.2) == 1L)
-    assert(CuisineSpecs.expectedFrequentItemsets(Seq(0.19), 0.2) == 0L)
+    assert(CuisineSpecs.expectedFrequentItemsets(named(Seq(0.25))) == Seq(List("i0")))
+    assert(CuisineSpecs.expectedFrequentItemsets(named(Seq(0.19))).isEmpty)
   }
 
   // Per-cuisine calibration invariants, one test each so failures localize.
@@ -79,7 +84,7 @@ class CuisineSpecSpec extends AnyFunSuite {
     }
 
     test(s"${s.name}: expected frequent-itemset count is near the paper's pattern count") {
-      val expected = CuisineSpecs.expectedFrequentItemsets(s.probs.values, 0.2)
+      val expected = CuisineSpecs.expectedFrequentItemsets(s.probs).size
       // calibration adds fillers up to the target but never overshoots it by
       // construction, except where the named-pattern structure alone already
       // exceeds the target (documented in EXPERIMENTS.md)
@@ -104,7 +109,7 @@ class CuisineSpecSpec extends AnyFunSuite {
     // exceeds 0.8, so cuisines that need fillers should land exactly on the
     // paper count unless the pool ran dry or base already overshot.
     val s = CuisineSpecs.byName("Australian")
-    assert(CuisineSpecs.expectedFrequentItemsets(s.probs.values, 0.2) == s.paperPatternCount.toLong)
+    assert(CuisineSpecs.expectedFrequentItemsets(s.probs).size == s.paperPatternCount)
   }
 
   test("family profiles correlate: Canadian's expected pattern set is euclidean-closer to French than to US") {
@@ -112,7 +117,7 @@ class CuisineSpecSpec extends AnyFunSuite {
     // vectors over expected frequent itemsets, euclidean distance =
     // sqrt(symmetric difference).
     def patterns(name: String): Set[Set[String]] =
-      CuisineSpecs.expectedFrequentItemsetSets(CuisineSpecs.byName(name).probs, 0.2)
+      CuisineSpecs.expectedFrequentItemsets(CuisineSpecs.byName(name).probs).map(_.toSet).toSet
     val can = patterns("Canadian")
     val fr = patterns("French")
     val us = patterns("US")
@@ -120,15 +125,6 @@ class CuisineSpecSpec extends AnyFunSuite {
       math.sqrt((a.diff(b).size + b.diff(a).size).toDouble)
     assert(dist(can, fr) < dist(can, us),
       s"canadian-french ${dist(can, fr)} vs canadian-us ${dist(can, us)}")
-  }
-
-  test("expectedFrequentItemsetSets size agrees with expectedFrequentItemsets") {
-    CuisineSpecs.all.foreach { s =>
-      assert(
-        CuisineSpecs.expectedFrequentItemsetSets(s.probs, 0.2).size.toLong ==
-          CuisineSpecs.expectedFrequentItemsets(s.probs.values, 0.2),
-        s.name)
-    }
   }
 
   test("spice-belt cuisines share cumin-family items (Indian ~ Northern Africa)") {

@@ -24,6 +24,13 @@ class RecipeGenSpec extends SparkSpec {
     assert(a != b)
   }
 
+  test("a scale factor that is not positive and finite is rejected, naming it") {
+    Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { bad =>
+      val e = intercept[IllegalArgumentException](RecipeGen.recipes(spark, bad))
+      assert(e.getMessage.contains(s"scale factor $bad is not positive and finite"), e.getMessage)
+    }
+  }
+
   test("generation is independent of partitioning") {
     val one = RecipeGen.recipes(spark, 0.005).repartition(1).orderBy("id")
       .collect().map(_.toString).toSeq
