@@ -17,12 +17,12 @@ import scala.collection.mutable
   * never occurs (P = 0), so the matrix is dense over cuisines × items.
   *
   * Spark computes only the two counts, N_c and n_i^c, in one
-  * [[CuisinePass]]: the task that holds a cuisine's recipes counts them and,
-  * per recipe, its distinct ingredients, and returns one [[CuisineCounts]]
-  * per cuisine. `Pipeline.run` counts in the same pass as it mines. Both
-  * counts are oracle-checked against DuckDB in the test suite. The dense
-  * cuisines × items matrix (26 × ~20k doubles, about 4 MB, at SF=1) is
-  * filled in on the driver.
+  * [[CuisinePass]]: the task whose partition holds a cuisine's recipes counts
+  * them and, per recipe, its distinct ingredients, and returns one
+  * Java-serialized [[CuisineCounts]] per cuisine. `Pipeline.run` counts in
+  * the same pass as it mines. Both counts are oracle-checked against DuckDB
+  * in the test suite. The dense cuisines × items matrix (26 × ~20k doubles,
+  * about 4 MB, at SF=1) is filled in on the driver.
   */
 object Authenticity {
 
@@ -36,9 +36,9 @@ object Authenticity {
     * is null.
     */
   def itemCounts(recipes: DataFrame): Seq[CuisineCounts] =
-    CuisinePass.results(CuisinePass(recipes, "ingredients") { (cuisine, arrays) =>
+    CuisinePass(recipes, "ingredients") { (cuisine, arrays) =>
       count(cuisine, arrays(0))
-    })
+    }
 
   /** One cuisine's counts, from its recipes' ingredient arrays. A recipe
     * counts once however often it lists an item.

@@ -11,9 +11,10 @@ import repro.recipedb.CuisineSpecs
   * cuisine at the paper's support threshold of 0.2.
   *
   * All cuisines are mined in one [[CuisinePass]]: each cuisine's recipes
-  * reach one task, which mines them with FP-Growth's conditional-pattern-base
-  * recursion, [[FPGrowth.mineLocal]], as the paper mined each cuisine on one
-  * machine (Han, Pei & Yin, SIGMOD 2000). RecipeGen spreads the 26 cuisines
+  * reach one task, which groups its partition by cuisine and mines each
+  * cuisine with FP-Growth's conditional-pattern-base recursion,
+  * [[FPGrowth.mineLocal]], as the paper mined each cuisine on one machine
+  * (Han, Pei & Yin, SIGMOD 2000). RecipeGen spreads the 26 cuisines
   * over as many hash partitions as Spark has cores, so every core mines. The
   * largest cuisine, Italian, has 16.6k recipes at SF=1, so one group easily
   * fits in a task. `Pipeline.run` mines in the same pass as it counts the
@@ -40,9 +41,9 @@ object PatternMiner {
     */
   def minePerCuisine(recipes: DataFrame, minSupport: Double = PaperMinSupport): Seq[CuisinePatterns] = {
     require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
-    CuisinePass.results(CuisinePass(recipes, "items") { (cuisine, arrays) =>
+    CuisinePass(recipes, "items") { (cuisine, arrays) =>
       mine(cuisine, arrays(0), minSupport)
-    })
+    }
   }
 
   /** One cuisine's patterns, from its recipes' item arrays. */

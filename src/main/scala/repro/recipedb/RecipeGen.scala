@@ -73,10 +73,11 @@ object RecipeGen {
     * `defaultParallelism` partitions, so each cuisine's recipes sit in one
     * partition and the 26 cuisines are spread over every core. A caller that
     * caches the DataFrame caches this layout, and the per-cuisine pass of
-    * `repro.core` then reads it with no shuffle. The partition count is
-    * explicit, so adaptive query execution keeps it. Row contents do not
-    * depend on the partitioning (see above). Fails unless `sf` is positive
-    * and finite.
+    * `repro.core` then reads it with no shuffle; cache it and fill the cache
+    * before the first reproduction, as the pass plans a DataFrame once. The
+    * partition count is explicit, so adaptive query execution keeps it. Row
+    * contents do not depend on the partitioning (see above). Fails unless
+    * `sf` is positive and finite.
     */
   def recipes(spark: SparkSession, sf: Double, seed: Long = 42): DataFrame = {
     require(sf > 0 && sf < Double.PositiveInfinity, s"scale factor $sf is not positive and finite")

@@ -130,9 +130,9 @@ class AuthenticitySpec extends SparkSpec {
   test("fingerprints run in one Spark job") {
     // One grouped pass over the cached recipes, already clustered by cuisine.
     gen.count() // materialise the cache outside the counted jobs
-    val (fp, jobs) = sparkJobsOf(Authenticity.fingerprints(spark, gen))
+    val (fp, activity) = sparkActivityOf(Authenticity.fingerprints(spark, gen))
     assert(fp.cuisines.size == 26)
-    assert(jobs == 1, s"$jobs Spark jobs")
+    assert(activity.jobs == 1, activity)
   }
 
   test("fingerprints equal the DuckDB relative-prevalence SQL on generated data to 1e-12") {

@@ -39,9 +39,9 @@ class PatternMinerSpec extends SparkSpec {
   test("all cuisines are mined in fewer Spark jobs than there are cuisines") {
     // Guards against a return to one mining job (or more) per cuisine.
     recipes.count() // materialise the cache outside the counted jobs
-    val (out, jobs) = sparkJobsOf(PatternMiner.minePerCuisine(recipes))
+    val (out, activity) = sparkActivityOf(PatternMiner.minePerCuisine(recipes))
     assert(out.size == CuisineSpecs.all.size)
-    assert(jobs > 0 && jobs < out.size, s"$jobs Spark jobs for ${out.size} cuisines")
+    assert(activity.jobs > 0 && activity.jobs < out.size, s"$activity for ${out.size} cuisines")
   }
 
   test("a null item array is rejected with the cuisine and column named") {

@@ -1,14 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import repro.SparkSpec
 import repro.fpm.Itemsets
-import repro.recipedb.RecipeGen
+import repro.recipedb.{Recipe, RecipeGen}
 
-class PipelineSpec extends SparkSpec with AdaptiveSparkPlanHelper {
+class PipelineSpec extends SparkSpec {
 
   // One full pipeline run at small scale, shared by the assertions below.
   private lazy val res = Pipeline.runAtScale(spark, 0.02)
@@ -80,37 +77,70 @@ class PipelineSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("a reproduction on cached RecipeGen data is one Spark job with no shuffle") {
     cached.count() // materialise the cache outside the counted jobs
-    val (out, jobs) = sparkJobsOf(Pipeline.run(spark, cached))
+    val (out, activity) = sparkActivityOf(Pipeline.run(spark, cached))
     assert(out.cuisines.size == 26)
-    assert(jobs == 1, s"$jobs Spark jobs")
-    val pass = Pipeline.cuisinePass(cached)
-    pass.collect()
-    val plan = pass.queryExecution.executedPlan
-    assert(collect(plan) { case s: ShuffleExchangeLike => s }.isEmpty, plan.toString)
-    assert(collect(plan) { case s: InMemoryTableScanExec => s }.size == 1, plan.toString)
+    assert(activity.jobs == 1 && activity.stages == 1, activity)
+    assert(activity.shuffleReadBytes == 0 && activity.shuffleWriteBytes == 0, activity)
+  }
+
+  test("a second reproduction on the same cached DataFrame starts no SQL execution") {
+    Pipeline.run(spark, cached)
+    val (out, activity) = sparkActivityOf(Pipeline.run(spark, cached))
+    assert(out.cuisines.size == 26)
+    assert(activity.sqlExecutions == 0 && activity.jobs == 1, activity)
+  }
+
+  test("a DataFrame cached before its first reproduction is read from the cache, not regenerated") {
+    def newick(res: Pipeline.Results) = res.authTree.newick(res.cuisines)
+    val early = RecipeGen.recipes(spark, 0.01).cache()
+    val late = RecipeGen.recipes(spark, 0.01)
+    try {
+      early.count()
+      val (first, activity) = sparkActivityOf(Pipeline.run(spark, early))
+      assert(activity.jobs == 1 && activity.stages == 1 && activity.shuffleReadBytes == 0, activity)
+      // Reproduced before it is cached, a DataFrame keeps its uncached
+      // lineage: the same results, read back from the generation's shuffle.
+      Pipeline.run(spark, late)
+      late.cache().count()
+      val (again, lateActivity) = sparkActivityOf(Pipeline.run(spark, late))
+      assert(lateActivity.shuffleReadBytes > 0, lateActivity)
+      assert(newick(again) == newick(first))
+    } finally {
+      early.unpersist()
+      late.unpersist()
+    }
   }
 
   test("results do not depend on how the recipes are partitioned") {
+    import spark.implicits._
     def outputs(df: DataFrame) = {
-      val (patterns, counts) = CuisinePass.results(Pipeline.cuisinePass(df)).unzip
-      val res = Pipeline.run(spark, df)
+      val (res, activity) = sparkActivityOf(Pipeline.run(spark, df))
       val trees = res.patternTrees + ("authenticity" -> res.authTree) + ("geo" -> res.geoTree)
-      (patterns, counts, Authenticity.fingerprints(spark, df), trees.map { case (k, t) => k -> t.newick(res.cuisines) })
+      (PatternMiner.minePerCuisine(df), Authenticity.itemCounts(df), Authenticity.fingerprints(spark, df),
+        trees.map { case (k, t) => k -> t.newick(res.cuisines) }, activity)
     }
-    val (patterns, counts, fp, newick) = outputs(cached)
-    Seq(1, 3).foreach { n =>
-      val (p, c, f, nw) = outputs(cached.repartition(n))
-      assert(p.map(_.cuisine) == patterns.map(_.cuisine), s"$n partitions")
+    val (patterns, counts, fp, newick, _) = outputs(cached)
+    Seq(
+      "repartition(1)" -> cached.repartition(1),
+      "repartition(3)" -> cached.repartition(3),
+      "local rows" -> cached.as[Recipe].collect().toSeq.toDF(),
+    ).foreach { case (layout, df) =>
+      val (p, c, f, nw, activity) = outputs(df)
+      // One shuffle each: the pass reads one partition as it is, and
+      // repartitions the other layouts on cuisine (which Spark merges with
+      // repartition(3)).
+      assert(activity.shuffles == 1, s"$layout: $activity")
+      assert(p.map(_.cuisine) == patterns.map(_.cuisine), layout)
       p.zip(patterns).foreach { case (a, b) =>
-        assert(a.nRecipes == b.nRecipes, s"$n partitions, ${a.cuisine}")
+        assert(a.nRecipes == b.nRecipes, s"$layout, ${a.cuisine}")
         val d = Itemsets.diff(a.itemsets, b.itemsets)
-        assert(d.isEmpty, s"$n partitions, ${a.cuisine}: ${d.take(5)}")
+        assert(d.isEmpty, s"$layout, ${a.cuisine}: ${d.take(5)}")
       }
-      assert(c == counts, s"$n partitions")
-      assert(f.cuisines == fp.cuisines && f.items == fp.items, s"$n partitions")
+      assert(c == counts, layout)
+      assert(f.cuisines == fp.cuisines && f.items == fp.items, layout)
       val worst = f.matrix.flatten.zip(fp.matrix.flatten[Double]).map { case (u, v) => math.abs(u - v) }.max
-      assert(worst <= 1e-12, s"$n partitions: worst cell difference $worst")
-      assert(nw == newick, s"$n partitions")
+      assert(worst <= 1e-12, s"$layout: worst cell difference $worst")
+      assert(nw == newick, layout)
     }
   }
 
