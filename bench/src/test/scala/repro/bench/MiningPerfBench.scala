@@ -7,10 +7,12 @@ import repro.recipedb.RecipeGen
 /** Baseline comparison (§II / [1] vs [6]): Spark MLlib's distributed
   * FP-Growth (PFP) against level-wise Apriori on the largest cuisine's
   * transactions — identical outputs required; the median wall-clock of
-  * several repetitions, after a warm-up and in rotating order, reported per
-  * support level. `FPGrowth.mineLocal`, the in-memory FP-Growth the pipeline
-  * runs per cuisine, is timed alongside on the same transactions, collected
-  * to the driver, and must agree too.
+  * nine repetitions, after a warm-up and in rotating order, reported per
+  * support level with its first and third quartiles, so that a difference
+  * can be told from host load. `FPGrowth.mineLocal`, the in-memory
+  * FP-Growth the pipeline runs per cuisine (there on the Int ids the pass
+  * interned), is timed alongside on the same transactions, collected to the
+  * driver, and must agree too.
   *
   * The paper picked FP-Growth for being "an efficient and scalable method";
   * this bench substantiates that choice on our data.
@@ -30,7 +32,7 @@ class MiningPerfBench extends SparkSpec {
   /** Timed repetitions per miner and support level, after one untimed
     * warm-up run of each miner.
     */
-  private val reps = 5
+  private val reps = 9
 
   private def time[A](body: => A): (A, Double) = {
     val t0 = System.nanoTime()
@@ -38,15 +40,22 @@ class MiningPerfBench extends SparkSpec {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  private def median(xs: Seq[Double]): Double = {
+  /** The q-quantile of `xs`, interpolated linearly between order statistics. */
+  private def quantile(xs: Seq[Double], q: Double): Double = {
     val s = xs.sorted
-    if (s.size % 2 == 1) s(s.size / 2) else (s(s.size / 2 - 1) + s(s.size / 2)) / 2
+    val at = q * (s.size - 1)
+    val lo = at.toInt
+    s(lo) + (at - lo) * (s(math.min(lo + 1, s.size - 1)) - s(lo))
   }
+
+  /** "median [q1, q3]" of `xs`. */
+  private def spread(xs: Seq[Double]): String =
+    f"${quantile(xs, 0.5)}%.2f [${quantile(xs, 0.25)}%.2f, ${quantile(xs, 0.75)}%.2f]"
 
   test(s"MLlib FP-Growth, Apriori and local FP-Growth agree and are timed at SF=$sf") {
     val local = transactions.collect().toSeq
-    println(s"\n=== Mining baseline comparison (Italian cuisine, SF=$sf, median of $reps after warm-up) ===")
-    println(f"${"support"}%8s ${"mllib-pfp(s)"}%13s ${"apriori(s)"}%11s ${"local(s)"}%9s ${"#itemsets"}%10s")
+    println(s"\n=== Mining baseline comparison (Italian cuisine, SF=$sf, median [q1, q3] of $reps after warm-up) ===")
+    println(f"${"support"}%8s ${"mllib-pfp(s)"}%22s ${"apriori(s)"}%22s ${"local(s)"}%22s ${"#itemsets"}%10s")
     Seq(0.4, 0.3, 0.2).foreach { s =>
       val miners = IndexedSeq(
         () => time(MLlibFPGrowth.mine(transactions, s)),
@@ -64,8 +73,8 @@ class MiningPerfBench extends SparkSpec {
         val d = Itemsets.diff(ml, other)
         assert(d.isEmpty, s"MLlib and $name differ at support $s: ${d.take(5)}")
       }
-      val Seq(tMl, tAp, tLo) = miners.indices.map(i => median(runs.map(_(i)._2)))
-      println(f"$s%8.2f $tMl%13.2f $tAp%11.2f $tLo%9.2f ${ml.size}%10d")
+      val Seq(tMl, tAp, tLo) = miners.indices.map(i => spread(runs.map(_(i)._2)))
+      println(f"$s%8.2f $tMl%22s $tAp%22s $tLo%22s ${ml.size}%10d")
     }
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import scala.collection.mutable
+import repro.fpm.FPGrowth
 
 /** §V.B of the paper: authenticity-based cuisine fingerprints, after Ahn et
   * al.'s flavor-network metric.
@@ -18,11 +18,11 @@ import scala.collection.mutable
   *
   * Spark computes only the two counts, N_c and n_i^c, in one
   * [[CuisinePass]]: the task whose partition holds a cuisine's recipes counts
-  * them and, per recipe, its distinct ingredients, and returns one
-  * Java-serialized [[CuisineCounts]] per cuisine. `Pipeline.run` counts in
-  * the same pass as it mines. Both counts are oracle-checked against DuckDB
-  * in the test suite. The dense cuisines × items matrix (26 × ~20k doubles,
-  * about 4 MB, at SF=1) is filled in on the driver.
+  * them and, per recipe, its distinct ingredient ids, as the miner does, and
+  * returns one Java-serialized [[CuisineCounts]] per cuisine. `Pipeline.run`
+  * counts in the same pass as it mines. Both counts are oracle-checked
+  * against DuckDB in the test suite. The dense cuisines × items matrix
+  * (26 × ~20k doubles, about 4 MB, at SF=1) is filled in on the driver.
   */
 object Authenticity {
 
@@ -32,21 +32,21 @@ object Authenticity {
   final case class CuisineCounts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
 
   /** One [[CuisineCounts]] of the `ingredients` per cuisine present in
-    * `recipes`, sorted by cuisine. Fails if a recipe's `ingredients` array
-    * is null.
+    * `recipes`, sorted by cuisine. Fails if a recipe's `ingredients` array,
+    * or an item in it, is null.
     */
   def itemCounts(recipes: DataFrame): Seq[CuisineCounts] =
-    CuisinePass(recipes, "ingredients") { (cuisine, arrays) =>
-      count(cuisine, arrays(0))
+    CuisinePass(recipes, "ingredients") { (cuisine, names, arrays) =>
+      count(cuisine, names, arrays(0))
     }
 
-  /** One cuisine's counts, from its recipes' ingredient arrays. A recipe
-    * counts once however often it lists an item.
+  /** One cuisine's counts, from its recipes' interned ingredient arrays. A
+    * recipe counts once however often it lists an item.
     */
-  private[core] def count(cuisine: String, ingredients: Seq[Seq[String]]): CuisineCounts = {
-    val withItem = mutable.HashMap.empty[String, Long]
-    ingredients.foreach(_.distinct.foreach(i => withItem(i) = withItem.getOrElse(i, 0L) + 1))
-    CuisineCounts(cuisine, ingredients.size.toLong, withItem.toMap)
+  private[core] def count(cuisine: String, names: Array[String], ingredients: Array[Array[Int]]): CuisineCounts = {
+    val withItem = FPGrowth.idCounts(ingredients, names.size)
+    CuisineCounts(cuisine, ingredients.length.toLong,
+      names.indices.collect { case id if withItem(id) > 0 => names(id) -> withItem(id).toLong }.toMap)
   }
 
   final case class Fingerprints(

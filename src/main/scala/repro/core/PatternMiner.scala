@@ -11,9 +11,9 @@ import repro.recipedb.CuisineSpecs
   * cuisine at the paper's support threshold of 0.2.
   *
   * All cuisines are mined in one [[CuisinePass]]: each cuisine's recipes
-  * reach one task, which groups its partition by cuisine and mines each
-  * cuisine with FP-Growth's conditional-pattern-base recursion,
-  * [[FPGrowth.mineLocal]], as the paper mined each cuisine on one machine
+  * reach one task, which groups its partition by cuisine, interns the items,
+  * and mines the ids with FP-Growth's conditional-pattern-base recursion,
+  * [[FPGrowth.mineIds]], as the paper mined each cuisine on one machine
   * (Han, Pei & Yin, SIGMOD 2000). RecipeGen spreads the 26 cuisines
   * over as many hash partitions as Spark has cores, so every core mines. The
   * largest cuisine, Italian, has 16.6k recipes at SF=1, so one group easily
@@ -36,17 +36,17 @@ object PatternMiner {
   }
 
   /** Mine the `items` of every cuisine present in `recipes`, one result per
-    * cuisine sorted by cuisine name. Fails if a recipe's `items` array is
-    * null.
+    * cuisine sorted by cuisine name. Fails on a null `items` array or item.
     */
   def minePerCuisine(recipes: DataFrame, minSupport: Double = PaperMinSupport): Seq[CuisinePatterns] = {
     require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
-    CuisinePass(recipes, "items") { (cuisine, arrays) =>
-      mine(cuisine, arrays(0), minSupport)
+    CuisinePass(recipes, "items") { (cuisine, names, arrays) =>
+      mine(cuisine, names, arrays(0), minSupport)
     }
   }
 
-  /** One cuisine's patterns, from its recipes' item arrays. */
-  private[core] def mine(cuisine: String, transactions: Seq[Seq[String]], minSupport: Double): CuisinePatterns =
-    CuisinePatterns(cuisine, transactions.size.toLong, FPGrowth.mineLocal(transactions, minSupport))
+  /** One cuisine's patterns, from its recipes' interned item arrays. */
+  private[core] def mine(cuisine: String, names: Array[String], ids: Array[Array[Int]],
+                         minSupport: Double): CuisinePatterns =
+    CuisinePatterns(cuisine, ids.length.toLong, FPGrowth.mineIds(ids, names, minSupport))
 }

@@ -11,10 +11,10 @@ import repro.recipedb.RecipeGen
   * paper's §VII validation narrative.
   *
   * Spark runs one [[CuisinePass]] per reproduction: it mines each cuisine's
-  * `items` and counts its `ingredients` in the same task. Everything after
-  * it runs on the driver. On cached RecipeGen data the pass is one Spark job
-  * with no shuffle, and Spark plans it only for a DataFrame's first
-  * reproduction.
+  * `items` and counts its `ingredients`, both interned to the same Int ids,
+  * in one task. Everything after it runs on the driver. On cached RecipeGen
+  * data the pass is one Spark job with no shuffle, and Spark plans it only
+  * for a DataFrame's first reproduction.
   */
 object Pipeline {
 
@@ -46,17 +46,17 @@ object Pipeline {
 
   /** Run everything on an existing recipes DataFrame, at the paper's
     * settings: minimum support 0.2 and average linkage. Needs at least three
-    * cuisines, and fails if a recipe's `items` or `ingredients` array is
-    * null. `spark` is unused; the benchmark harness still passes it.
+    * cuisines, and fails on a null `items` or `ingredients` array or item.
+    * `spark` is unused; the benchmark harness still passes it.
     *
     * Cache `recipes`, and fill the cache, before its first reproduction: the
     * pass plans the DataFrame once, so one reproduced before it is cached
     * keeps its uncached lineage (same results, slower).
     */
   def run(spark: SparkSession, recipes: DataFrame): Results = {
-    val (patterns, counts) = CuisinePass(recipes, "items", "ingredients") { (cuisine, arrays) =>
-      (PatternMiner.mine(cuisine, arrays(0), PatternMiner.PaperMinSupport),
-        Authenticity.count(cuisine, arrays(1)))
+    val (patterns, counts) = CuisinePass(recipes, "items", "ingredients") { (cuisine, names, arrays) =>
+      (PatternMiner.mine(cuisine, names, arrays(0), PatternMiner.PaperMinSupport),
+        Authenticity.count(cuisine, names, arrays(1)))
     }.unzip
     require(patterns.size >= 3,
       s"need at least three cuisines, got ${patterns.size}: the geography comparison " +

@@ -1,7 +1,6 @@
 package repro.fpm
 
 import java.util.Arrays
-import scala.collection.mutable
 
 /** One mined frequent itemset with absolute and relative frequency. */
 final case class FreqItemset(items: Seq[String], freq: Long, support: Double)
@@ -11,14 +10,13 @@ final case class FreqItemset(items: Seq[String], freq: Long, support: Double)
   * rank arrays rather than compressed into an FP-tree: at support 0.2
   * recipes seldom share long prefixes, so the tree would save little
   * (Pei et al., H-Mine, ICDM 2001). As in Borgelt's implementation (OSDM
-  * 2005), items are interned to Int codes once and everything after that
+  * 2005), items are interned to Int ids once and everything after that
   * works on primitive arrays; item names come back only for the output.
   *
-  * `core.PatternMiner` runs [[mineLocal]] once per cuisine inside one Spark
-  * pass; the largest cuisine, Italian, has 16.6k recipes at SF=1, so one
-  * cuisine easily fits in a task. The test suite checks it against Spark
-  * MLlib's Parallel FP-Growth (`ml.fpm.FPGrowth`, Li et al., RecSys 2008),
-  * a distributed Apriori and brute-force enumeration.
+  * `core`'s cuisine pass interns as it reads and runs [[mineIds]] per
+  * cuisine in one Spark pass; [[mineLocal]] interns strings, then calls it.
+  * The test suite checks it against Spark MLlib's Parallel FP-Growth
+  * (`ml.fpm.FPGrowth`, Li et al., RecSys 2008), Apriori and brute force.
   */
 object FPGrowth {
 
@@ -27,43 +25,44 @@ object FPGrowth {
     math.ceil(minSupport * total).toLong
 
   /** Mine frequent itemsets from an in-memory collection of transactions,
-    * in whichever JVM calls it.
+    * in whichever JVM calls it, by interning them for [[mineIds]].
     *
     * @param transactions one item sequence per transaction (duplicates
     *                     within a transaction are ignored)
     * @param minSupport   relative support threshold in (0, 1]
     */
   def mineLocal(transactions: Seq[Seq[String]], minSupport: Double): Seq[FreqItemset] = {
-    require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
-    val total = transactions.size.toLong
-    require(total > 0, "cannot mine an empty transaction set")
-    val minCount = minCountFor(minSupport, total)
+    val names = transactions.iterator.flatten.distinct.toArray
+    val idOf = names.zipWithIndex.toMap
+    mineIds(transactions.iterator.map(_.iterator.map(idOf).toArray).toArray, names, minSupport)
+  }
 
-    // Intern every item to an id, and count each id once per transaction:
-    // `seen(id)` is the last transaction that counted it.
-    val idOf = mutable.HashMap.empty[String, Int]
-    val names = mutable.ArrayBuffer.empty[String]
-    val ids = transactions.iterator.map { tx =>
-      val a = new Array[Int](tx.size)
-      var j = 0
-      tx.foreach { i =>
-        a(j) = idOf.getOrElseUpdate(i, { names += i; names.size - 1 })
-        j += 1
-      }
-      a
-    }.toArray
-    val idCount = new Array[Int](names.size)
-    val seen = Array.fill(names.size)(-1)
+  /** For each id below `nIds`, the number of transactions that hold it at least once. */
+  def idCounts(ids: Array[Array[Int]], nIds: Int): Array[Int] = {
+    val count = new Array[Int](nIds)
+    val seen = Array.fill(nIds)(-1) // the last transaction that counted an id
     var t = 0
     while (t < ids.length) {
       val tx = ids(t)
       var j = 0
       while (j < tx.length) {
-        if (seen(tx(j)) != t) { seen(tx(j)) = t; idCount(tx(j)) += 1 }
+        if (seen(tx(j)) != t) { seen(tx(j)) = t; count(tx(j)) += 1 }
         j += 1
       }
       t += 1
     }
+    count
+  }
+
+  /** Mine frequent itemsets from interned transactions, where `names(id)` is
+    * the item `id` stands for; the result does not depend on the id order.
+    */
+  def mineIds(ids: Array[Array[Int]], names: Array[String], minSupport: Double): Seq[FreqItemset] = {
+    require(minSupport > 0 && minSupport <= 1, s"minSupport $minSupport outside (0,1]")
+    val total = ids.length.toLong
+    require(total > 0, "cannot mine an empty transaction set")
+    val minCount = minCountFor(minSupport, total)
+    val idCount = idCounts(ids, names.size)
 
     // Rank the frequent ids by (-count, name); `items(r)` names rank r.
     val byRank = names.indices.filter(idCount(_) >= minCount)

@@ -127,6 +127,12 @@ class AuthenticitySpec extends SparkSpec {
     assert(e.getMessage.contains("null ingredients array in a recipe of cuisine B"), e.getMessage)
   }
 
+  test("item counts reject a null item inside an item array with the cuisine and column named") {
+    val bad = Seq((0L, "B", Seq("x")), (1L, "B", Seq(null, "x"))).toDF("id", "cuisine", "ingredients")
+    val e = intercept[Exception](Authenticity.itemCounts(tiny.union(bad)))
+    assert(e.getMessage.contains("null item in the ingredients array of a recipe of cuisine B"), e.getMessage)
+  }
+
   test("fingerprints run in one Spark job") {
     // One grouped pass over the cached recipes, already clustered by cuisine.
     gen.count() // materialise the cache outside the counted jobs

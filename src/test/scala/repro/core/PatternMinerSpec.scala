@@ -50,6 +50,12 @@ class PatternMinerSpec extends SparkSpec {
     assert(e.getMessage.contains("null items array in a recipe of cuisine Greek"), e.getMessage)
   }
 
+  test("a null item inside an item array is rejected with the cuisine and column named") {
+    val bad = Seq(("Greek", Seq("x")), ("Greek", Seq("x", null))).toDF("cuisine", "items")
+    val e = intercept[Exception](PatternMiner.minePerCuisine(bad))
+    assert(e.getMessage.contains("null item in the items array of a recipe of cuisine Greek"), e.getMessage)
+  }
+
   test("an empty item array is mined as a recipe with no items") {
     val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "items")
     val Seq(cp) = PatternMiner.minePerCuisine(df, minSupport = 0.5)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.fpm.Itemsets
+import repro.fpm.{FPGrowth, Itemsets}
 import repro.recipedb.{Recipe, RecipeGen}
 
 class PipelineSpec extends SparkSpec {
@@ -11,6 +11,30 @@ class PipelineSpec extends SparkSpec {
   private lazy val res = Pipeline.runAtScale(spark, 0.02)
 
   private lazy val cached = RecipeGen.recipes(spark, 0.02).cache()
+
+  /** Cached recipes of `cuisines` whose item names are multi-byte UTF-8,
+    * with 300 distinct rare items of one byte length, frequent items of equal
+    * byte length ("辣椒" and "crème" are both 6 bytes) and one recipe that
+    * lists an item twice in both columns. The cuisines' rows alternate, and
+    * one row is long enough to make a reader's reused row buffer grow.
+    */
+  private def utf8Recipes(cuisines: Seq[String]): DataFrame = {
+    import spark.implicits._
+    val rng = new scala.util.Random(16)
+    val frequent = Seq("crème fraîche" -> 0.8, "辣椒" -> 0.7, "crème" -> 0.6, "sel" -> 0.5)
+    val rare = (0 until 300).map(i => f"épice$i%03d")
+    val recipes = for {
+      r <- 0 until 80
+      (cuisine, c) <- cuisines.zipWithIndex
+    } yield {
+      val ingredients = frequent.collect { case (i, p) if rng.nextDouble() < p => i } ++
+        Seq.fill(if (r == 40 && c == 0) 150 else 6)(rare(rng.nextInt(rare.size)))
+      val items = ingredients ++ Seq("mijoter", "炒").filter(_ => rng.nextDouble() < 0.5)
+      Recipe(c * 1000L + r, cuisine, ingredients, items)
+    }
+    val twice = Recipe(-1L, cuisines(1), Seq("辣椒", "sel", "辣椒"), Seq("辣椒", "sel", "辣椒", "炒"))
+    (recipes :+ twice).toDF().cache()
+  }
 
   test("pipeline yields all 26 cuisines in sorted order") {
     assert(res.cuisines.size == 26)
@@ -141,6 +165,55 @@ class PipelineSpec extends SparkSpec {
       val worst = f.matrix.flatten.zip(fp.matrix.flatten[Double]).map { case (u, v) => math.abs(u - v) }.max
       assert(worst <= 1e-12, s"$layout: worst cell difference $worst")
       assert(nw == newick, layout)
+    }
+  }
+
+  test("interning in the pass matches driver-side mining and counts on multi-byte names of a cached DataFrame") {
+    import spark.implicits._
+    val named = utf8Recipes(Seq("Côte d'Ivoire", "中国", "Crète"))
+    // Pipeline.run places cuisines on the map, so it needs known regions.
+    val regions = utf8Recipes(Seq("Rest Africa", "Chinese and Mongolian", "Greek"))
+    try Seq(named, regions).foreach { cached =>
+      val byCuisine = cached.as[Recipe].collect().toSeq.groupBy(_.cuisine).toSeq.sortBy(_._1)
+      val patterns = byCuisine.map { case (_, rs) => FPGrowth.mineLocal(rs.map(_.items), PatternMiner.PaperMinSupport) }
+      val counts = byCuisine.map { case (c, rs) =>
+        val withItem = rs.flatMap(_.ingredients.distinct).groupBy(identity).map { case (i, n) => i -> n.size.toLong }
+        Authenticity.CuisineCounts(c, rs.size.toLong, withItem)
+      }
+      // The reference is not trivial: long multi-byte patterns, and the
+      // rare items counted.
+      patterns.foreach(fis => assert(fis.exists(fi => fi.items.size >= 3 && fi.items.contains("辣椒"))))
+      assert(counts.map(_.withItem.size).sum > 3 * 200, counts.map(_.withItem.size))
+      def assertPatterns(layout: String, got: Seq[PatternMiner.CuisinePatterns]): Unit = {
+        assert(got.map(c => c.cuisine -> c.nRecipes) == counts.map(c => c.cuisine -> c.nRecipes), layout)
+        got.zip(patterns).foreach { case (cp, expected) =>
+          val d = Itemsets.diff(cp.itemsets, expected)
+          assert(d.isEmpty, s"$layout, ${cp.cuisine}: ${d.take(5)}")
+        }
+      }
+      cached.count() // fill the cache, so the pass reads the cached rows
+      Seq("cached toDF" -> cached, "repartition(1)" -> cached.repartition(1), "repartition(3)" -> cached.repartition(3))
+        .foreach { case (layout, df) =>
+          assertPatterns(layout, PatternMiner.minePerCuisine(df))
+          assert(Authenticity.itemCounts(df) == counts, layout)
+          if (cached eq regions) assertPatterns(s"$layout, Pipeline.run", Pipeline.run(spark, df).patterns)
+        }
+    } finally {
+      named.unpersist()
+      regions.unpersist()
+    }
+  }
+
+  test("run rejects a null item inside an items or ingredients array with the cuisine and column named") {
+    import spark.implicits._
+    val ok = Seq((0L, "Crète", Seq("x"), Seq("x", "bake")))
+    Seq(
+      (1L, "Crète", Seq("y"), Seq("y", null)) -> "null item in the items array of a recipe of cuisine Crète",
+      (1L, "Crète", Seq(null, "y"), Seq("y")) -> "null item in the ingredients array of a recipe of cuisine Crète",
+    ).foreach { case (bad, message) =>
+      val df = (ok :+ bad).toDF("id", "cuisine", "ingredients", "items")
+      val e = intercept[Exception](Pipeline.run(spark, df))
+      assert(e.getMessage.contains(message), e.getMessage)
     }
   }
 
