@@ -22,7 +22,7 @@ class ClusteringBench extends SparkSpec {
   }
 
   test("claim (§VII): Canadian is closer to French than to US — pattern tree") {
-    val t = res.patternTrees("euclidean")
+    val t = res.trees("euclidean")
     val can = res.leafIndex("Canadian")
     val fr = res.leafIndex("French")
     val us = res.leafIndex("US")
@@ -32,7 +32,7 @@ class ClusteringBench extends SparkSpec {
   }
 
   test("claim (§VII): Canadian is closer to French than to US — authenticity tree") {
-    val t = res.authTree
+    val t = res.trees("authenticity")
     val can = res.leafIndex("Canadian")
     val fr = res.leafIndex("French")
     val us = res.leafIndex("US")
@@ -42,7 +42,7 @@ class ClusteringBench extends SparkSpec {
   }
 
   test("claim (§VII): Indian Subcontinent groups with Northern Africa, not its geographic neighbours") {
-    val t = res.authTree
+    val t = res.trees("authenticity")
     val ind = res.leafIndex("Indian Subcontinent")
     val na = res.leafIndex("Northern Africa")
     val thai = res.leafIndex("Thai")
@@ -59,7 +59,7 @@ class ClusteringBench extends SparkSpec {
     // artifact scipy's euclidean dendrogram shares; the normalised metrics
     // recover the East Asian family cleanly.
     Seq("cosine", "jaccard").foreach { m =>
-      val t = res.patternTrees(m)
+      val t = res.trees(m)
       val cn = res.leafIndex("Chinese and Mongolian")
       val kr = res.leafIndex("Korean")
       val jp = res.leafIndex("Japanese")
@@ -98,10 +98,9 @@ class ClusteringBench extends SparkSpec {
   test("cophenetic correlation between each tree and raw geography distances is printed") {
     val geoD = repro.geo.Regions.distanceMatrix(res.cuisines)
     println("\nCophenetic correlation vs raw geographic distances:")
-    (Pipeline.Metrics.map(m => m -> res.patternTrees(m)) :+ ("authenticity" -> res.authTree))
-      .foreach { case (name, t) =>
-        val c = repro.cluster.TreeCompare.copheneticCorrelation(t, geoD)
-        println(f"  $name%-14s $c%.4f")
-      }
+    (res.trees - "geo").foreach { case (name, t) =>
+      val c = repro.cluster.TreeCompare.copheneticCorrelation(t, geoD)
+      println(f"  $name%-14s $c%.4f")
+    }
   }
 }

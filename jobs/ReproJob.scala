@@ -21,12 +21,15 @@ object ReproJob {
   def renderTrees(res: Pipeline.Results): String = {
     val sb = new StringBuilder
     val labels = res.cuisines
-    (Pipeline.Metrics.map(m => s"patterns/$m" -> res.patternTrees(m)) ++
-      Seq("authenticity" -> res.authTree, "geography" -> res.geoTree)).foreach {
-      case (name, tree) =>
-        sb ++= s"== HAC ($name) ==\n"
-        sb ++= tree.newick(labels) + "\n"
-        sb ++= tree.ascii(labels) + "\n\n"
+    res.trees.foreach { case (name, tree) =>
+      val title = name match {
+        case "authenticity" => name
+        case "geo" => "geography"
+        case metric => s"patterns/$metric"
+      }
+      sb ++= s"== HAC ($title) ==\n"
+      sb ++= tree.newick(labels) + "\n"
+      sb ++= tree.ascii(labels) + "\n\n"
     }
     sb ++= "== Mean Fowlkes–Mallows similarity vs geography tree (k=2..12) ==\n"
     res.geoSimilarity.toSeq.sortBy(-_._2).foreach { case (m, v) =>

@@ -29,16 +29,7 @@ object Authenticity {
   /** N_c and n_i^c of one cuisine: `withItem(i)` is the number of recipes
     * that contain item i at least once; items no recipe contains are absent.
     */
-  final case class CuisineCounts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
-
-  /** One [[CuisineCounts]] of the `ingredients` per cuisine present in
-    * `recipes`, sorted by cuisine. Fails if a recipe's `ingredients` array,
-    * or an item in it, is null.
-    */
-  def itemCounts(recipes: DataFrame): Seq[CuisineCounts] =
-    CuisinePass(recipes, "ingredients") { (cuisine, names, arrays) =>
-      count(cuisine, names, arrays(0))
-    }
+  private[core] final case class CuisineCounts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
 
   /** One cuisine's counts, from its recipes' interned ingredient arrays. A
     * recipe counts once however often it lists an item.
@@ -57,11 +48,12 @@ object Authenticity {
 
   /** Dense relative-prevalence fingerprint matrix of the `ingredients` of
     * `recipes`, rows sorted by cuisine and columns by item so the result is
-    * deterministic. Needs at least two cuisines. `spark` is unused; the
-    * benchmark harness still passes it.
+    * deterministic. Needs at least two cuisines, and fails on a null
+    * `ingredients` array or item. `spark` is unused; the benchmark harness
+    * still passes it.
     */
   def fingerprints(spark: SparkSession, recipes: DataFrame): Fingerprints =
-    fromCounts(itemCounts(recipes))
+    fromCounts(CuisinePass(recipes, "ingredients")((cuisine, names, arrays) => count(cuisine, names, arrays(0))))
 
   /** The fingerprint matrix of per-cuisine counts sorted by cuisine. */
   private[core] def fromCounts(counts: Seq[CuisineCounts]): Fingerprints = {

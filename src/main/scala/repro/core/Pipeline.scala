@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.cluster._
 import repro.geo.Regions
 import repro.recipedb.RecipeGen
+import scala.collection.immutable.ListMap
 
 /** End-to-end reproduction pipeline: data → pattern mining → feature
   * vectors → HAC under three metrics (Figs 2–4), authenticity HAC (Fig 5),
@@ -24,17 +25,12 @@ object Pipeline {
       cuisines: IndexedSeq[String],
       patterns: Seq[PatternMiner.CuisinePatterns],
       features: PatternFeatures.Features,
-      patternTrees: Map[String, Dendrogram], // one per metric
-      authTree: Dendrogram,
-      geoTree: Dendrogram,
+      trees: ListMap[String, Dendrogram], // each of Metrics, then "authenticity" and "geo"
       geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs geo tree
   ) {
-    def tree(name: String): Dendrogram = name match {
-      case "authenticity" => authTree
-      case "geo" => geoTree
-      case metric =>
-        require(patternTrees.contains(metric), s"unknown tree: $name")
-        patternTrees(metric)
+    def tree(name: String): Dendrogram = {
+      require(trees.contains(name), s"unknown tree: $name")
+      trees(name)
     }
 
     def leafIndex(cuisine: String): Int = {
@@ -65,21 +61,18 @@ object Pipeline {
     val cuisines = features.cuisines
     val vectors = features.matrix.toSeq
 
-    val patternTrees = Metrics.map { m =>
-      m -> Hac.cluster(Distance.pdist(vectors, Distance.byName(m)))
-    }.toMap
-
     val fp = Authenticity.fromCounts(counts)
-    val authTree = Hac.cluster(Distance.pdist(fp.matrix.toSeq, Distance.euclidean))
-
-    val geoTree = Hac.cluster(Regions.distanceMatrix(cuisines))
+    val trees = ListMap.from(Metrics.map(m => m -> Distance.pdist(vectors, Distance.byName(m))) ++ Seq(
+      "authenticity" -> Distance.pdist(fp.matrix.toSeq, Distance.euclidean),
+      "geo" -> Regions.distanceMatrix(cuisines),
+    )).map { case (name, d) => name -> Hac.cluster(d) }
 
     val ks = 2 to math.min(12, cuisines.size - 1)
-    val sims = (Metrics.map(m => m -> patternTrees(m)) :+ ("authenticity" -> authTree)).map {
-      case (name, t) => name -> TreeCompare.meanFowlkesMallows(t, geoTree, ks)
-    }.toMap
+    val sims = (trees - "geo").map { case (name, t) =>
+      name -> TreeCompare.meanFowlkesMallows(t, trees("geo"), ks)
+    }
 
-    Results(cuisines, patterns, features, patternTrees, authTree, geoTree, sims)
+    Results(cuisines, patterns, features, trees, sims)
   }
 
   /** Generate data at `sf` (seed 42) and run everything. */

@@ -1,10 +1,11 @@
 package repro.recipedb
 
+import repro.fpm.Itemsets
 import scala.annotation.tailrec
 
 /** A pattern named in Table I of the paper, with the support it reports. */
 final case class NamedPattern(items: Set[String], paperSupport: Double) {
-  def label: String = items.toSeq.sorted.mkString(" + ")
+  def label: String = Itemsets.patternString(items)
 }
 
 /** Generative spec for one cuisine.

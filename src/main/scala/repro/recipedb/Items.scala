@@ -3,16 +3,12 @@ package repro.recipedb
 /** Item vocabulary for the synthetic RecipeDB.
   *
   * RecipeDB treats a recipe as an unordered set of ingredients, processes and
-  * utensils; the paper concatenates all three before mining. We keep the
-  * category of every item so that the authenticity pipeline (Fig 5 of the
-  * paper, "Authenticity of Ingredients") can select ingredients only.
+  * utensils; the paper concatenates all three before mining. The generator
+  * tells ingredients apart from the rest so that the authenticity pipeline
+  * (Fig 5 of the paper, "Authenticity of Ingredients") can select
+  * ingredients only.
   */
 object Items {
-
-  sealed trait Category
-  case object Ingredient extends Category
-  case object Process    extends Category
-  case object Utensil    extends Category
 
   /** Core cooking processes present in every cuisine's baseline. */
   val coreProcesses: Set[String] = Set(
@@ -123,11 +119,11 @@ object Items {
   /** All process names: core + every filler technique. */
   val processes: Set[String] = coreProcesses ++ fillerPools.values.flatten
 
-  /** Category of an item by name; rare filler ingredients are prefixed. */
-  def category(name: String): Category =
-    if (processes.contains(name)) Process
-    else if (utensils.contains(name)) Utensil
-    else Ingredient
+  /** Whether an item is an ingredient: neither a process nor a utensil, as
+    * are the rare filler ingredients (`rare_<cuisine>_<k>`).
+    */
+  def isIngredient(name: String): Boolean =
+    !processes.contains(name) && !utensils.contains(name)
 
   /** Baseline inclusion probabilities shared by every cuisine.
     *

@@ -52,7 +52,7 @@ object RecipeGen {
     // deterministic iteration order: sorted item names
     spec.probs.toSeq.sortBy(_._1).foreach { case (item, p) =>
       if (Rng.uniform(seed, id, item.hashCode.toLong) < p)
-        (if (Items.category(item) == Items.Ingredient) ing else other) += item
+        (if (Items.isIngredient(item)) ing else other) += item
     }
     val cuisineIdx = CuisineSpecs.all.indexWhere(_.name == spec.name)
     var slot = 0

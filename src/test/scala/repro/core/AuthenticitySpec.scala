@@ -7,6 +7,7 @@ import repro.recipedb.RecipeGen
 
 class AuthenticitySpec extends SparkSpec {
 
+  import AuthenticitySpec.itemCounts
   import spark.implicits._
 
   /** Tiny hand-checkable dataset: 2 cuisines, known memberships. */
@@ -62,7 +63,7 @@ class AuthenticitySpec extends SparkSpec {
     } yield (c, i) -> fp.matrix(ci)(ii)).toMap
 
   test("fingerprints densify items a cuisine never uses (B/y)") {
-    assert(Authenticity.itemCounts(tiny) == tinyCounts)
+    assert(itemCounts(tiny) == tinyCounts)
     val rel = cells(Authenticity.fingerprints(spark, tiny))
     assert(rel.size == 6)
     // P_B(y) = 0 is filled in although no (B, y) count exists.
@@ -82,7 +83,7 @@ class AuthenticitySpec extends SparkSpec {
 
   /** N_c and n_i^c of `recipes` against the same counts in DuckDB. */
   private def assertCountsMatchDuckDb(recipes: DataFrame): Unit = {
-    val counts = Authenticity.itemCounts(recipes)
+    val counts = itemCounts(recipes)
     val withItem = counts.flatMap(c => c.withItem.map { case (i, n) => (c.cuisine, i, n) })
     Oracle.assertEquivalent(
       withItem.toDF("cuisine", "item", "n_with_item"),
@@ -105,19 +106,19 @@ class AuthenticitySpec extends SparkSpec {
     val partitionsOfA = spread.filter($"cuisine" === "A")
       .select(spark_partition_id()).distinct().count()
     assert(partitionsOfA > 1, s"cuisine A's rows sit in $partitionsOfA partition(s)")
-    assert(Authenticity.itemCounts(spread) == tinyCounts)
+    assert(itemCounts(spread) == tinyCounts)
     assertCountsMatchDuckDb(gen.repartition(8))
   }
 
   test("item counts count a recipe once however often it lists an item") {
     val dup = Seq((0L, "A", Seq("x", "x", "y")), (1L, "A", Seq("x"))).toDF("id", "cuisine", "ingredients")
-    assert(Authenticity.itemCounts(dup) ==
+    assert(itemCounts(dup) ==
       Seq(Authenticity.CuisineCounts("A", 2L, Map("x" -> 2L, "y" -> 1L))))
   }
 
   test("item counts count an empty item array as a recipe with no items") {
     val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "ingredients")
-    assert(Authenticity.itemCounts(df) ==
+    assert(itemCounts(df) ==
       Seq(Authenticity.CuisineCounts("Greek", 2L, Map("x" -> 1L))))
   }
 
@@ -129,7 +130,7 @@ class AuthenticitySpec extends SparkSpec {
 
   test("item counts reject a null item inside an item array with the cuisine and column named") {
     val bad = Seq((0L, "B", Seq("x")), (1L, "B", Seq(null, "x"))).toDF("id", "cuisine", "ingredients")
-    val e = intercept[Exception](Authenticity.itemCounts(tiny.union(bad)))
+    val e = intercept[Exception](itemCounts(tiny.union(bad)))
     assert(e.getMessage.contains("null item in the ingredients array of a recipe of cuisine B"), e.getMessage)
   }
 
@@ -192,4 +193,13 @@ class AuthenticitySpec extends SparkSpec {
     assert(rel("Korean") > 0.2)
     assert(rel("French") < 0.05)
   }
+}
+
+object AuthenticitySpec {
+
+  /** N_c and n_i^c of the `ingredients` of `recipes`, one per cuisine sorted
+    * by cuisine, from the pass that `Authenticity.fingerprints` runs.
+    */
+  def itemCounts(recipes: DataFrame): Seq[Authenticity.CuisineCounts] =
+    CuisinePass(recipes, "ingredients")((cuisine, names, arrays) => Authenticity.count(cuisine, names, arrays(0)))
 }

@@ -42,10 +42,9 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("a pattern tree exists per metric and has 26 leaves") {
-    assert(res.patternTrees.keySet == Pipeline.Metrics.toSet)
-    res.patternTrees.values.foreach(t => assert(t.nLeaves == 26))
-    assert(res.authTree.nLeaves == 26)
-    assert(res.geoTree.nLeaves == 26)
+    // The order ReproJob prints the trees in and the benchmark names them.
+    assert(res.trees.keys.toSeq == Pipeline.Metrics ++ Seq("authenticity", "geo"))
+    res.trees.foreach { case (name, t) => assert(t.nLeaves == 26, name) }
   }
 
   test("feature matrix is binary with one row per cuisine") {
@@ -55,15 +54,12 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("geo similarity scores exist for all methods and are in [0, 1]") {
-    assert(res.geoSimilarity.keySet ==
-      (Pipeline.Metrics :+ "authenticity").toSet)
+    assert(res.geoSimilarity.keySet == res.trees.keySet - "geo")
     res.geoSimilarity.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
   }
 
   test("tree accessor resolves metric, authenticity and geo trees") {
-    assert(res.tree("euclidean") eq res.patternTrees("euclidean"))
-    assert(res.tree("authenticity") eq res.authTree)
-    assert(res.tree("geo") eq res.geoTree)
+    res.trees.foreach { case (name, t) => assert(res.tree(name) eq t, name) }
     val e = intercept[IllegalArgumentException](res.tree("nope"))
     assert(e.getMessage.contains("unknown tree: nope"))
   }
@@ -78,13 +74,13 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("pattern trees are non-degenerate (not a single chain of zero heights)") {
-    res.patternTrees.values.foreach { t =>
-      assert(t.merges.last.height > 0.0)
+    Pipeline.Metrics.foreach { m =>
+      assert(res.trees(m).merges.last.height > 0.0, m)
     }
   }
 
   test("East Asian cuisines are cophenetically close in the authenticity tree") {
-    val t = res.authTree
+    val t = res.trees("authenticity")
     val jp = res.leafIndex("Japanese")
     val kr = res.leafIndex("Korean")
     val fr = res.leafIndex("French")
@@ -115,7 +111,7 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("a DataFrame cached before its first reproduction is read from the cache, not regenerated") {
-    def newick(res: Pipeline.Results) = res.authTree.newick(res.cuisines)
+    def newick(res: Pipeline.Results) = res.trees("authenticity").newick(res.cuisines)
     val early = RecipeGen.recipes(spark, 0.01).cache()
     val late = RecipeGen.recipes(spark, 0.01)
     try {
@@ -135,13 +131,39 @@ class PipelineSpec extends SparkSpec {
     }
   }
 
+  test("a DataFrame reproduced as soon as it is cached gives the results of a filled cache") {
+    def newick(res: Pipeline.Results) = res.trees.map { case (k, t) => k -> t.newick(res.cuisines) }
+    val unfilled = RecipeGen.recipes(spark, 0.01).cache()
+    val filled = RecipeGen.recipes(spark, 0.01).cache()
+    try {
+      filled.count()
+      val expected = Pipeline.run(spark, filled)
+      // The unfilled cache reports no layout, so the first pass repartitions;
+      // it also fills the cache, which the second pass reads as it is.
+      val first = Pipeline.run(spark, unfilled)
+      val (second, activity) = sparkActivityOf(Pipeline.run(spark, unfilled))
+      assert(activity.jobs == 1 && activity.shuffles == 0 && activity.shuffleReadBytes == 0, activity)
+      Seq("first" -> first, "second" -> second).foreach { case (run, got) =>
+        assert(got.patterns.map(_.cuisine) == expected.patterns.map(_.cuisine), run)
+        got.patterns.zip(expected.patterns).foreach { case (a, b) =>
+          val d = Itemsets.diff(a.itemsets, b.itemsets)
+          assert(d.isEmpty, s"$run, ${a.cuisine}: ${d.take(5)}")
+        }
+        assert(newick(got) == newick(expected), run)
+        assert(got.geoSimilarity == expected.geoSimilarity, run)
+      }
+    } finally {
+      unfilled.unpersist()
+      filled.unpersist()
+    }
+  }
+
   test("results do not depend on how the recipes are partitioned") {
     import spark.implicits._
     def outputs(df: DataFrame) = {
       val (res, activity) = sparkActivityOf(Pipeline.run(spark, df))
-      val trees = res.patternTrees + ("authenticity" -> res.authTree) + ("geo" -> res.geoTree)
-      (PatternMiner.minePerCuisine(df), Authenticity.itemCounts(df), Authenticity.fingerprints(spark, df),
-        trees.map { case (k, t) => k -> t.newick(res.cuisines) }, activity)
+      (PatternMiner.minePerCuisine(df), AuthenticitySpec.itemCounts(df), Authenticity.fingerprints(spark, df),
+        res.trees.map { case (k, t) => k -> t.newick(res.cuisines) }, activity)
     }
     val (patterns, counts, fp, newick, _) = outputs(cached)
     Seq(
@@ -195,7 +217,7 @@ class PipelineSpec extends SparkSpec {
       Seq("cached toDF" -> cached, "repartition(1)" -> cached.repartition(1), "repartition(3)" -> cached.repartition(3))
         .foreach { case (layout, df) =>
           assertPatterns(layout, PatternMiner.minePerCuisine(df))
-          assert(Authenticity.itemCounts(df) == counts, layout)
+          assert(AuthenticitySpec.itemCounts(df) == counts, layout)
           if (cached eq regions) assertPatterns(s"$layout, Pipeline.run", Pipeline.run(spark, df).patterns)
         }
     } finally {

@@ -8,24 +8,21 @@ class ItemsSpec extends AnyFunSuite {
     assert(Items.processes.intersect(Items.utensils).isEmpty)
   }
 
-  test("category() classifies every baseline item consistently") {
+  test("isIngredient() classifies every baseline item consistently") {
     Items.baseline.keys.foreach { item =>
-      val c = Items.category(item)
-      if (Items.processes.contains(item)) assert(c == Items.Process, item)
-      else if (Items.utensils.contains(item)) assert(c == Items.Utensil, item)
-      else assert(c == Items.Ingredient, item)
+      assert(Items.isIngredient(item) == !(Items.processes.contains(item) || Items.utensils.contains(item)), item)
     }
   }
 
   test("rare items classify as ingredients") {
-    assert(Items.category("rare_3_17") == Items.Ingredient)
+    assert(Items.isIngredient("rare_3_17"))
   }
 
   test("all filler pool items are processes (authenticity-space invariant)") {
     // DESIGN.md §2: fillers must be processes so that pattern-count
     // calibration cannot distort the ingredient prevalence space (Fig 5).
     Items.fillerPools.foreach { case (family, pool) =>
-      pool.foreach(i => assert(Items.category(i) == Items.Process, s"$family/$i"))
+      pool.foreach(i => assert(Items.processes.contains(i), s"$family/$i"))
     }
   }
 

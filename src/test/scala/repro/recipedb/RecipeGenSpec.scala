@@ -86,10 +86,8 @@ class RecipeGenSpec extends SparkSpec {
     val rows = df.select("ingredients", "items").collect()
     rows.foreach { r =>
       val ingredients = r.getSeq[String](0)
-      ingredients.foreach(i => assert(Items.category(i) == Items.Ingredient, i))
-      r.getSeq[String](1).diff(ingredients).foreach { i =>
-        assert(Set[Items.Category](Items.Process, Items.Utensil).contains(Items.category(i)), i)
-      }
+      ingredients.foreach(i => assert(Items.isIngredient(i), i))
+      r.getSeq[String](1).diff(ingredients).foreach(i => assert(!Items.isIngredient(i), i))
     }
   }
 
@@ -149,6 +147,6 @@ class RecipeGenSpec extends SparkSpec {
     val b = RecipeGen.genRecipe(spec, 123L, 42L, 100)
     assert(a == b)
     assert(a.cuisine == "Thai")
-    assert(a.items.filter(Items.category(_) == Items.Ingredient) == a.ingredients)
+    assert(a.items.filter(Items.isIngredient) == a.ingredients)
   }
 }
