@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.cluster.KMeans
 import repro.jobs.ReproJob
 
 /** Reproduces Figure 1 (elbow method): k-means WCSS on the pattern feature
@@ -12,8 +11,7 @@ class ElbowBench extends SparkSpec {
 
   private val sf = BenchRun.sf
 
-  private lazy val wcss: Seq[(Int, Double)] =
-    KMeans.elbow(BenchRun.results.features.matrix, 1 to 10)
+  private lazy val wcss: Seq[(Int, Double)] = BenchRun.results.wcss
 
   test(s"FIG 1: WCSS sweep for k=1..10 at SF=$sf") {
     println(s"\n=== Elbow reproduction (SF=$sf) ===")

@@ -9,7 +9,11 @@ import repro.recipedb.RecipeGen
   * transactions — identical outputs required; the median wall-clock of
   * nine repetitions, after a warm-up and in rotating order, reported per
   * support level with its first and third quartiles, so that a difference
-  * can be told from host load. `FPGrowth.mineLocal`, the in-memory
+  * can be told from host load. Each repetition runs every miner, so the
+  * median [q1, q3] of its Apriori/MLlib and local/MLlib time ratios is
+  * printed too: load that slows a whole repetition cancels out of a ratio,
+  * which makes the ratios, not the seconds, comparable between runs made at
+  * different times. `FPGrowth.mineLocal`, the in-memory
   * FP-Growth the pipeline runs per cuisine (there on the Int ids the pass
   * interned), is timed alongside on the same transactions, collected to the
   * driver, and must agree too.
@@ -48,15 +52,17 @@ class MiningPerfBench extends SparkSpec {
     s(lo) + (at - lo) * (s(math.min(lo + 1, s.size - 1)) - s(lo))
   }
 
-  /** "median [q1, q3]" of `xs`. */
-  private def spread(xs: Seq[Double]): String =
-    f"${quantile(xs, 0.5)}%.2f [${quantile(xs, 0.25)}%.2f, ${quantile(xs, 0.75)}%.2f]"
+  /** "median [q1, q3]" of `xs`, with `digits` decimals. */
+  private def spread(xs: Seq[Double], digits: Int = 2): String = {
+    val Seq(m, q1, q3) = Seq(0.5, 0.25, 0.75).map(q => s"%.${digits}f".format(quantile(xs, q)))
+    s"$m [$q1, $q3]"
+  }
 
   test(s"MLlib FP-Growth, Apriori and local FP-Growth agree and are timed at SF=$sf") {
     val local = transactions.collect().toSeq
     println(s"\n=== Mining baseline comparison (Italian cuisine, SF=$sf, median [q1, q3] of $reps after warm-up) ===")
     println(f"${"support"}%8s ${"mllib-pfp(s)"}%22s ${"apriori(s)"}%22s ${"local(s)"}%22s ${"#itemsets"}%10s")
-    Seq(0.4, 0.3, 0.2).foreach { s =>
+    val ratioRows = Seq(0.4, 0.3, 0.2).map { s =>
       val miners = IndexedSeq(
         () => time(MLlibFPGrowth.mine(transactions, s)),
         () => time(Apriori.mine(transactions, s)),
@@ -75,6 +81,11 @@ class MiningPerfBench extends SparkSpec {
       }
       val Seq(tMl, tAp, tLo) = miners.indices.map(i => spread(runs.map(_(i)._2)))
       println(f"$s%8.2f $tMl%22s $tAp%22s $tLo%22s ${ml.size}%10d")
+      val Seq(rAp, rLo) = Seq(1, 2).map(i => spread(runs.map(r => r(i)._2 / r(0)._2), digits = 4))
+      f"$s%8.2f $rAp%28s $rLo%28s"
     }
+    println(s"\n=== Time ratios to MLlib within each repetition (median [q1, q3] of $reps) ===")
+    println(f"${"support"}%8s ${"apriori/mllib"}%28s ${"local/mllib"}%28s")
+    ratioRows.foreach(println)
   }
 }

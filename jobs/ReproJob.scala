@@ -1,8 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.cluster.KMeans
 import repro.core.Pipeline
+import repro.recipedb.RecipeGen
 
 /** Regenerates every paper artefact as text from one pipeline run: Table I,
   * the numbers behind Figure 1 (WCSS of k-means on the pattern feature
@@ -42,7 +42,7 @@ object ReproJob {
   def render(res: Pipeline.Results): String =
     Seq(
       "== Table I ==\n" + TableIJob.render(TableIJob.rows(res.patterns)),
-      "== Fig 1: k-means elbow ==\n" + renderElbow(KMeans.elbow(res.features.matrix, 1 to 10)),
+      "== Fig 1: k-means elbow ==\n" + renderElbow(res.wcss),
       renderTrees(res),
     ).mkString("\n\n")
 
@@ -52,7 +52,7 @@ object ReproJob {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-job").getOrCreate()
     try {
-      println(render(Pipeline.runAtScale(spark, sf)))
+      println(render(Pipeline.run(spark, RecipeGen.recipes(spark, sf))))
     } finally spark.stop()
   }
 }

@@ -1,5 +1,6 @@
 package repro.cluster
 
+import repro.cluster.Distance.sqEuclidean
 import scala.util.Random
 
 /** k-means (k-means++ init, Lloyd iterations) and the elbow/WCSS sweep of
@@ -14,18 +15,11 @@ object KMeans {
   private val Runs = 8
   private val Seed = 7L
 
-  private def sqDist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    s
-  }
-
   /** k-means++ seeding (Arthur & Vassilvitskii 2007). */
   private def seedCenters(x: Array[Array[Double]], k: Int, rnd: Random): Array[Array[Double]] = {
     val centers = new Array[Array[Double]](k)
     centers(0) = x(rnd.nextInt(x.length)).clone()
-    val d2 = x.map(sqDist(_, centers(0)))
+    val d2 = x.map(sqEuclidean(_, centers(0)))
     var c = 1
     while (c < k) {
       val totalW = d2.sum
@@ -39,7 +33,7 @@ object KMeans {
         }
       centers(c) = x(chosen).clone()
       var i = 0
-      while (i < x.length) { d2(i) = math.min(d2(i), sqDist(x(i), centers(c))); i += 1 }
+      while (i < x.length) { d2(i) = math.min(d2(i), sqEuclidean(x(i), centers(c))); i += 1 }
       c += 1
     }
     centers
@@ -58,10 +52,10 @@ object KMeans {
       var i = 0
       while (i < x.length) {
         var best = 0
-        var bd = sqDist(x(i), centers(0))
+        var bd = sqEuclidean(x(i), centers(0))
         var c = 1
         while (c < k) {
-          val d = sqDist(x(i), centers(c))
+          val d = sqEuclidean(x(i), centers(c))
           if (d < bd) { bd = d; best = c }
           c += 1
         }
@@ -84,7 +78,7 @@ object KMeans {
       }
       iter += 1
     }
-    val wcss = x.indices.map(i => sqDist(x(i), centers(labels(i)))).sum
+    val wcss = x.indices.map(i => sqEuclidean(x(i), centers(labels(i)))).sum
     Result(centers, labels, wcss)
   }
 

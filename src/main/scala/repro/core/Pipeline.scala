@@ -3,13 +3,12 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.cluster._
 import repro.geo.Regions
-import repro.recipedb.RecipeGen
 import scala.collection.immutable.ListMap
 
 /** End-to-end reproduction pipeline: data → pattern mining → feature
-  * vectors → HAC under three metrics (Figs 2–4), authenticity HAC (Fig 5),
-  * geographic HAC (Fig 6), and the quantified tree comparisons behind the
-  * paper's §VII validation narrative.
+  * vectors → the k-means elbow (Fig 1), HAC under three metrics (Figs 2–4),
+  * authenticity HAC (Fig 5), geographic HAC (Fig 6), and the quantified tree
+  * comparisons behind the paper's §VII validation narrative.
   *
   * Spark runs one [[CuisinePass]] per reproduction: it mines each cuisine's
   * `items` and counts its `ingredients`, both interned to the same Int ids,
@@ -28,6 +27,11 @@ object Pipeline {
       trees: ListMap[String, Dendrogram], // each of Metrics, then "authenticity" and "geo"
       geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs geo tree
   ) {
+    /** Fig 1: k-means WCSS on the pattern vectors for k = 1..10, computed on
+      * first read.
+      */
+    lazy val wcss: Seq[(Int, Double)] = KMeans.elbow(features.matrix, 1 to 10)
+
     def tree(name: String): Dendrogram = {
       require(trees.contains(name), s"unknown tree: $name")
       trees(name)
@@ -74,8 +78,4 @@ object Pipeline {
 
     Results(cuisines, patterns, features, trees, sims)
   }
-
-  /** Generate data at `sf` (seed 42) and run everything. */
-  def runAtScale(spark: SparkSession, sf: Double): Results =
-    run(spark, RecipeGen.recipes(spark, sf))
 }

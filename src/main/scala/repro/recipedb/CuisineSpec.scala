@@ -306,9 +306,4 @@ object CuisineSpecs {
   val byName: Map[String, CuisineSpec] = all.map(s => s.name -> s).toMap
 
   require(all.size == 26, s"expected 26 cuisines, got ${all.size}")
-
-  /** Per-region counts in Table I sum to 118,171 (the paper's §III quotes
-    * 118,071; we treat the per-region column as authoritative).
-    */
-  val totalRecipes: Long = all.map(_.nRecipes).sum
 }

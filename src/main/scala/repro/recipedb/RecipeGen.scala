@@ -33,17 +33,7 @@ object RecipeGen {
   /** Rare-ingredient pool size per cuisine at a given scale factor. */
   def rarePoolSize(sf: Double): Int = math.max(50, (780 * sf).toInt)
 
-  /** Cuisine of a global recipe id, by cumulative ranges in Table I order. */
-  def cuisineRanges(sf: Double): Seq[(CuisineSpec, Long, Long)] = {
-    var off = 0L
-    CuisineSpecs.all.map { s =>
-      val start = off
-      off += s.nAt(sf)
-      (s, start, off)
-    }
-  }
-
-  def totalRecipes(sf: Double): Long = cuisineRanges(sf).last._3
+  def totalRecipes(sf: Double): Long = CuisineSpecs.all.map(_.nAt(sf)).sum
 
   /** Generate one recipe (driver-side callable too; used by tests). */
   def genRecipe(spec: CuisineSpec, id: Long, seed: Long, poolSize: Int): Recipe = {
@@ -82,15 +72,12 @@ object RecipeGen {
   def recipes(spark: SparkSession, sf: Double, seed: Long = 42): DataFrame = {
     require(sf > 0 && sf < Double.PositiveInfinity, s"scale factor $sf is not positive and finite")
     import spark.implicits._
-    val ranges = cuisineRanges(sf)
+    val specs = CuisineSpecs.all.toIndexedSeq
+    // Each cuisine's first id, in Table I order, then the total.
+    val starts = specs.scanLeft(0L)(_ + _.nAt(sf))
     val pool = rarePoolSize(sf)
-    val total = ranges.last._3
-    // ranges is small (26 entries); ship it via closure.
-    spark.range(total).as[Long].mapPartitions { ids =>
-      ids.map { id =>
-        val (spec, _, _) = ranges.find { case (_, s, e) => id >= s && id < e }.get
-        genRecipe(spec, id, seed, pool)
-      }
+    spark.range(starts.last).as[Long].mapPartitions { ids =>
+      ids.map(id => genRecipe(specs(starts.lastIndexWhere(_ <= id)), id, seed, pool))
     }.toDF().repartition(spark.sparkContext.defaultParallelism, col("cuisine"))
   }
 }

@@ -2,13 +2,14 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.cluster.KMeans
 import repro.fpm.{FPGrowth, Itemsets}
 import repro.recipedb.{Recipe, RecipeGen}
 
 class PipelineSpec extends SparkSpec {
 
   // One full pipeline run at small scale, shared by the assertions below.
-  private lazy val res = Pipeline.runAtScale(spark, 0.02)
+  private lazy val res = Pipeline.run(spark, RecipeGen.recipes(spark, 0.02))
 
   private lazy val cached = RecipeGen.recipes(spark, 0.02).cache()
 
@@ -77,6 +78,15 @@ class PipelineSpec extends SparkSpec {
     Pipeline.Metrics.foreach { m =>
       assert(res.trees(m).merges.last.height > 0.0, m)
     }
+  }
+
+  test("Fig 1's WCSS is in the results: k = 1..10, no Spark job, computed once") {
+    val r = res // reproduce first, so only the elbow is counted
+    val (wcss, activity) = sparkActivityOf(r.wcss)
+    assert(activity.jobs == 0, activity)
+    assert(wcss.map(_._1) == (1 to 10))
+    assert(wcss == KMeans.elbow(r.features.matrix, 1 to 10))
+    assert(r.wcss eq wcss)
   }
 
   test("East Asian cuisines are cophenetically close in the authenticity tree") {

@@ -3,7 +3,7 @@ package repro.jobs
 import repro.SparkSpec
 import repro.core.Pipeline
 import repro.cluster.KMeans
-import repro.recipedb.CuisineSpecs
+import repro.recipedb.{CuisineSpecs, RecipeGen}
 
 /** The jobs' pure rendering/aggregation functions, driven at small scale —
   * the same code paths `spark-submit` users hit, minus `main`'s session
@@ -12,7 +12,7 @@ import repro.recipedb.CuisineSpecs
 class JobsSpec extends SparkSpec {
 
   // One pipeline run at small scale, shared by the tests below.
-  private lazy val res = Pipeline.runAtScale(spark, 0.01)
+  private lazy val res = Pipeline.run(spark, RecipeGen.recipes(spark, 0.01))
   private lazy val mined = res.patterns
 
   test("TableIJob.rows produces one row per named pattern in Table I order") {
