@@ -26,18 +26,21 @@ import repro.fpm.FPGrowth
   */
 object Authenticity {
 
-  /** N_c and n_i^c of one cuisine: `withItem(i)` is the number of recipes
-    * that contain item i at least once; items no recipe contains are absent.
+  /** N_c and n_i^c of one cuisine: `withItem(j)` recipes contain `items(j)`
+    * at least once; items no recipe contains are absent. Arrays, not a map of
+    * boxed counts, so the pass ships fewer bytes.
     */
-  private[core] final case class CuisineCounts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
+  private[core] final case class CuisineCounts(cuisine: String, nRecipes: Long, items: Array[String], withItem: Array[Int])
 
   /** One cuisine's counts, from its recipes' interned ingredient arrays. A
-    * recipe counts once however often it lists an item.
+    * recipe counts once however often it lists an item. `names` may name
+    * items no ingredient array holds (the pass interns all its columns with
+    * one table); they are dropped here, in the task.
     */
   private[core] def count(cuisine: String, names: Array[String], ingredients: Array[Array[Int]]): CuisineCounts = {
     val withItem = FPGrowth.idCounts(ingredients, names.size)
-    CuisineCounts(cuisine, ingredients.length.toLong,
-      names.indices.collect { case id if withItem(id) > 0 => names(id) -> withItem(id).toLong }.toMap)
+    val present = names.indices.filter(withItem(_) > 0)
+    CuisineCounts(cuisine, ingredients.length.toLong, present.map(names).toArray, present.map(withItem).toArray)
   }
 
   final case class Fingerprints(
@@ -62,7 +65,7 @@ object Authenticity {
 
     val cuisines = counts.map(_.cuisine).toIndexedSeq
     val (items, m) = DenseRows(counts.map { c => // P, zero-filled
-      c.withItem.view.map { case (i, n) => i -> n.toDouble / c.nRecipes }
+      c.items.indices.view.map(j => c.items(j) -> c.withItem(j).toDouble / c.nRecipes)
     })
     val sums = new Array[Double](items.size)
     m.foreach(row => row.indices.foreach(j => sums(j) += row(j)))

@@ -12,9 +12,9 @@ import repro.recipedb.CuisineSpecs
   *
   * All cuisines are mined in one [[CuisinePass]]: each cuisine's recipes
   * reach one task, which groups its partition by cuisine, interns the items,
-  * and mines the ids with FP-Growth's conditional-pattern-base recursion,
-  * [[FPGrowth.mineIds]], as the paper mined each cuisine on one machine
-  * (Han, Pei & Yin, SIGMOD 2000). RecipeGen spreads the 26 cuisines
+  * and mines the ids with [[FPGrowth.mineIds]], FP-Growth's pattern growth
+  * (Han, Pei & Yin, SIGMOD 2000) counted on transaction bitsets, as the paper
+  * mined each cuisine on one machine. RecipeGen spreads the 26 cuisines
   * over as many hash partitions as Spark has cores, so every core mines. The
   * largest cuisine, Italian, has 16.6k recipes at SF=1, so one group easily
   * fits in a task. `Pipeline.run` mines in the same pass as it counts the

@@ -7,7 +7,7 @@ import repro.recipedb.RecipeGen
 
 class AuthenticitySpec extends SparkSpec {
 
-  import AuthenticitySpec.itemCounts
+  import AuthenticitySpec.{Counts, countsOf, itemCounts}
   import spark.implicits._
 
   /** Tiny hand-checkable dataset: 2 cuisines, known memberships. */
@@ -22,8 +22,8 @@ class AuthenticitySpec extends SparkSpec {
 
   /** N_c and n_i^c of `tiny`, counted by hand. */
   private val tinyCounts = Seq(
-    Authenticity.CuisineCounts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
-    Authenticity.CuisineCounts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
+    Counts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
+    Counts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
   )
 
   private lazy val gen = RecipeGen.recipes(spark, 0.01).cache()
@@ -113,13 +113,21 @@ class AuthenticitySpec extends SparkSpec {
   test("item counts count a recipe once however often it lists an item") {
     val dup = Seq((0L, "A", Seq("x", "x", "y")), (1L, "A", Seq("x"))).toDF("id", "cuisine", "ingredients")
     assert(itemCounts(dup) ==
-      Seq(Authenticity.CuisineCounts("A", 2L, Map("x" -> 2L, "y" -> 1L))))
+      Seq(Counts("A", 2L, Map("x" -> 2L, "y" -> 1L))))
   }
 
   test("item counts count an empty item array as a recipe with no items") {
     val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "ingredients")
     assert(itemCounts(df) ==
-      Seq(Authenticity.CuisineCounts("Greek", 2L, Map("x" -> 1L))))
+      Seq(Counts("Greek", 2L, Map("x" -> 1L))))
+  }
+
+  test("item counts drop the names no ingredient array holds") {
+    // The pass interns every column with one table, so in Pipeline.run the
+    // names also hold the processes and utensils of the `items` column.
+    val c = Authenticity.count("A", Array("x", "bake", "y", "pan"), Array(Array(0, 2), Array(0), Array.empty[Int]))
+    assert(c.items.toSeq == Seq("x", "y") && c.withItem.toSeq == Seq(2, 1))
+    assert(countsOf(c) == Counts("A", 3L, Map("x" -> 2L, "y" -> 1L)))
   }
 
   test("item counts reject a null item array with the cuisine and column named") {
@@ -197,9 +205,16 @@ class AuthenticitySpec extends SparkSpec {
 
 object AuthenticitySpec {
 
+  /** One cuisine's N_c and n_i^c, keyed by item, in a form that compares by value. */
+  final case class Counts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
+
+  def countsOf(c: Authenticity.CuisineCounts): Counts =
+    Counts(c.cuisine, c.nRecipes, c.items.zip(c.withItem.map(_.toLong)).toMap)
+
   /** N_c and n_i^c of the `ingredients` of `recipes`, one per cuisine sorted
     * by cuisine, from the pass that `Authenticity.fingerprints` runs.
     */
-  def itemCounts(recipes: DataFrame): Seq[Authenticity.CuisineCounts] =
+  def itemCounts(recipes: DataFrame): Seq[Counts] =
     CuisinePass(recipes, "ingredients")((cuisine, names, arrays) => Authenticity.count(cuisine, names, arrays(0)))
+      .map(countsOf)
 }

@@ -23,7 +23,7 @@ class PatternMinerSpec extends SparkSpec {
   }
 
   test("per-cuisine mining equals MLlib FP-Growth on every cuisine") {
-    // The program mines with FPGrowth.mineLocal; the independent oracle is
+    // The program mines with FPGrowth.mineIds; the independent oracle is
     // MLlib's distributed PFP, which shares no code with it. BruteForce
     // would blow up on ~23 frequent items per transaction.
     val cuisines = recipes.select("cuisine").distinct().as[String].collect().sorted

@@ -210,7 +210,7 @@ class PipelineSpec extends SparkSpec {
       val patterns = byCuisine.map { case (_, rs) => FPGrowth.mineLocal(rs.map(_.items), PatternMiner.PaperMinSupport) }
       val counts = byCuisine.map { case (c, rs) =>
         val withItem = rs.flatMap(_.ingredients.distinct).groupBy(identity).map { case (i, n) => i -> n.size.toLong }
-        Authenticity.CuisineCounts(c, rs.size.toLong, withItem)
+        AuthenticitySpec.Counts(c, rs.size.toLong, withItem)
       }
       // The reference is not trivial: long multi-byte patterns, and the
       // rare items counted.

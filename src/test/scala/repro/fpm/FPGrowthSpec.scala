@@ -146,9 +146,42 @@ class FPGrowthSpec extends SparkSpec {
     assert(got.map(fi => fi.items -> fi.freq).toMap == long.map(i => Seq(i) -> 2L).toMap)
   }
 
+  test("mineLocal agrees with brute force where the transaction bitsets split into 64-bit words") {
+    // Transaction t is bit t % 64 of word t / 64, so these sizes fill one
+    // word exactly, leave one bit over, or end mid-word. Each support makes
+    // minCount equal to the exact count of some itemset, so that itemset is
+    // frequent by a margin of zero.
+    val rnd = new scala.util.Random(6464)
+    Seq(1, 63, 64, 65, 127, 128, 129, 200).foreach { n =>
+      val alphabet = ('a' to 'h').map(_.toString)
+      val tx = Seq.fill(n)(alphabet.filter(_ => rnd.nextDouble() < 0.6))
+      val counts = BruteForce.mine(tx, 1.0 / n).map(_.freq).distinct.sorted
+      val exact = Seq(counts.head, counts(counts.size / 2), counts.last)
+      exact.foreach { c =>
+        val minSup = (c - 0.5) / n
+        assert(FPGrowth.minCountFor(minSup, n) == c, s"n $n count $c")
+        val got = FPGrowth.mineLocal(tx, minSup)
+        assert(got.exists(_.freq == c), s"n $n count $c")
+        val d = Itemsets.diff(got, BruteForce.mine(tx, minSup))
+        assert(d.isEmpty, s"n $n minCount $c: ${d.take(5)}")
+      }
+    }
+  }
+
+  test("ten items in each of 70 transactions give the full lattice of 1,023 itemsets") {
+    // Every pattern extension is frequent, so the recursion reaches depth
+    // ten, and every level's bitset, two words long, is extended again.
+    val items = (0 until 10).map(i => s"i$i")
+    val got = FPGrowth.mineLocal(Seq.fill(70)(items), 0.5)
+    assert(got.size == 1023)
+    assert(got.map(_.items.toSet).toSet == items.toSet.subsets().filter(_.nonEmpty).toSet)
+    assert(got.forall(fi => fi.freq == 70L && fi.support == 1.0))
+  }
+
   test("distributed == local == brute force on randomized inputs") {
     // Alphabets of up to 10 items and supports down to 0.05 make mineLocal
-    // recurse several levels deep and prune items within conditional bases.
+    // recurse several levels deep and prune the extensions infrequent with the
+    // parent pattern.
     val rnd = new scala.util.Random(99)
     val longest = (1 to 30).map { rep =>
       val alphabet = ('a' to ('a' + 1 + rnd.nextInt(9)).toChar).map(_.toString)
