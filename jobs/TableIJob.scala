@@ -33,7 +33,8 @@ object TableIJob {
           .mkString("; ")
         spec.namedPatterns.map { np =>
           Row(spec.name, mined.nRecipes, np.label, np.paperSupport,
-            mined.supportOf(np.items), spec.paperPatternCount,
+            mined.itemsets.collectFirst { case fi if fi.items.toSet == np.items => fi.support },
+            spec.paperPatternCount,
             mined.nPatterns, top)
         }
       }

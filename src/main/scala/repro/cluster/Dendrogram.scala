@@ -22,22 +22,16 @@ final case class Dendrogram(nLeaves: Int, merges: IndexedSeq[Merge]) {
     out.toIndexedSeq
   }
 
-  /** Flat clustering with k clusters: apply the first n-k merges.
-    * Returns a label in [0, k) per leaf, canonicalised so that labels are
-    * assigned in leaf order.
+  /** Flat clustering with k clusters: a leaf's cluster is the last of the
+    * first n-k merges whose `members` hold it. Returns a label in [0, k) per
+    * leaf, canonicalised so that labels are assigned in leaf order.
     */
   def cut(k: Int): Array[Int] = {
     require(k >= 1 && k <= nLeaves, s"k=$k outside [1, $nLeaves]")
-    val parent = Array.tabulate(2 * nLeaves - 1)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
-    merges.take(nLeaves - k).zipWithIndex.foreach { case (m, t) =>
-      val id = nLeaves + t
-      parent(find(m.a)) = id
-      parent(find(m.b)) = id
-    }
+    val applied = nLeaves until 2 * nLeaves - k
     val roots = mutable.LinkedHashMap.empty[Int, Int]
     Array.tabulate(nLeaves) { i =>
-      roots.getOrElseUpdate(find(i), roots.size)
+      roots.getOrElseUpdate(applied.findLast(members(_)(i)).getOrElse(i), roots.size)
     }
   }
 

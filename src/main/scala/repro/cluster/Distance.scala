@@ -17,7 +17,8 @@ final case class DistMatrix(n: Int, condensed: Array[Double]) {
   def apply(i: Int, j: Int): Double = if (i == j) 0.0 else condensed(idx(i, j))
 }
 
-/** Distance metrics over dense vectors + pdist.
+/** Distance metrics over dense vectors + pdist, which builds every pairwise
+  * matrix: the three pattern metrics, authenticity and geography.
   *
   * The paper's equations (3)-(5) are typo'd (Jaccard printed as
   * union/intersection, cosine without the 1 - ..., Euclidean missing the
@@ -78,17 +79,17 @@ object Distance {
     if (union == 0) 0.0 else 1.0 - inter.toDouble / union
   }
 
-  def byName(name: String): Metric = name.toLowerCase match {
+  def byName(name: String): Metric = name match {
     case "euclidean" => euclidean
     case "cosine"    => cosine
     case "jaccard"   => jaccard
     case other       => throw new IllegalArgumentException(s"unknown metric: $other")
   }
 
-  /** Condensed pairwise distance matrix (scipy pdist). */
-  def pdist(vectors: Seq[Array[Double]], metric: Metric): DistMatrix = {
-    val n = vectors.size
-    val v = vectors.toArray
+  /** Condensed pairwise distance matrix (scipy pdist) of `metric` over any points. */
+  def pdist[A](points: Seq[A], metric: (A, A) => Double): DistMatrix = {
+    val n = points.size
+    val v = points.toIndexedSeq
     val out = new Array[Double](n * (n - 1) / 2)
     var k = 0
     var i = 0

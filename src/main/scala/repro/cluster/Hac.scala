@@ -20,7 +20,6 @@ object Hac {
   def cluster(dist: DistMatrix, linkage: Linkage = Average): Dendrogram = {
     val n = dist.n
     require(n >= 1, "need at least one observation")
-    if (n == 1) return Dendrogram(1, Vector.empty)
 
     // Working distances between active clusters, keyed by scipy node id.
     val d = Array.ofDim[Double](2 * n - 1, 2 * n - 1)

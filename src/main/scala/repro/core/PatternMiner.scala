@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.fpm.{FPGrowth, FreqItemset, Itemsets}
+import repro.fpm.{FPGrowth, FreqItemset}
 import repro.recipedb.CuisineSpecs
 
 /** §IV–V.A of the paper: per-cuisine frequent pattern mining.
@@ -30,8 +30,6 @@ object PatternMiner {
       nRecipes: Long,
       itemsets: Seq[FreqItemset],
   ) {
-    lazy val bySet: Map[Set[String], Double] = Itemsets.toMap(itemsets)
-    def supportOf(items: Set[String]): Option[Double] = bySet.get(items)
     def nPatterns: Int = itemsets.size
   }
 

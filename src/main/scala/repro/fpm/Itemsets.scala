@@ -13,10 +13,6 @@ object Itemsets {
   def patternString(items: Iterable[String]): String =
     items.toSeq.sorted.mkString(" + ")
 
-  /** Mined itemsets as a Map keyed by item set. */
-  def toMap(itemsets: Seq[FreqItemset]): Map[Set[String], Double] =
-    itemsets.map(fi => fi.items.toSet -> fi.support).toMap
-
   /** Maximal frequent itemsets: those with no frequent strict superset.
     * A strict superset is a larger superset, so the size test comes first
     * and most of the O(m^2) pairs need no subset check.

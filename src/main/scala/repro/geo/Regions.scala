@@ -1,6 +1,6 @@
 package repro.geo
 
-import repro.cluster.DistMatrix
+import repro.cluster.{DistMatrix, Distance}
 
 /** Geographic ground truth for the paper's validation (Fig 6): a lat/lon
   * centroid per Table I region, the haversine great-circle distance, and
@@ -53,8 +53,6 @@ object Regions {
   /** Pairwise geographic distance matrix over regions in the given order. */
   def distanceMatrix(order: Seq[String]): DistMatrix = {
     order.foreach(r => require(coordinates.contains(r), s"unknown region: $r"))
-    val c = order.map(coordinates).toIndexedSeq
-    DistMatrix(c.size, (for (i <- c.indices; j <- i + 1 until c.size)
-      yield haversineKm(c(i), c(j))).toArray)
+    Distance.pdist(order.map(coordinates), haversineKm)
   }
 }

@@ -33,8 +33,6 @@ object RecipeGen {
   /** Rare-ingredient pool size per cuisine at a given scale factor. */
   def rarePoolSize(sf: Double): Int = math.max(50, (780 * sf).toInt)
 
-  def totalRecipes(sf: Double): Long = CuisineSpecs.all.map(_.nAt(sf)).sum
-
   /** Generate one recipe (driver-side callable too; used by tests). */
   def genRecipe(spec: CuisineSpec, id: Long, seed: Long, poolSize: Int): Recipe = {
     val ing = Seq.newBuilder[String]

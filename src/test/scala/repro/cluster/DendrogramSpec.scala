@@ -1,6 +1,7 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 
 class DendrogramSpec extends AnyFunSuite {
 
@@ -55,6 +56,25 @@ class DendrogramSpec extends AnyFunSuite {
       for (i <- 0 until 12; j <- i + 1 until 12 if fine(i) == fine(j))
         assert(coarse(i) == coarse(j), s"k=$k ($i,$j)")
     }
+  }
+
+  test("cut(k) is cut(k+1) with the clusters of merge n-k-1's two children united") {
+    // Labels renumbered in order of first occurrence, as cut returns them.
+    def canonical(labels: Seq[Int]): Seq[Int] = {
+      val seen = scala.collection.mutable.LinkedHashMap.empty[Int, Int]
+      labels.map(l => seen.getOrElseUpdate(l, seen.size))
+    }
+    val gen = for { n <- Gen.choose(2, 30); seed <- Gen.long } yield randomTree(n, seed)
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), Prop.forAll(gen) { d =>
+      val n = d.nLeaves
+      (1 until n).forall { k =>
+        val m = d.merges(n - k - 1)
+        val fine = d.cut(k + 1)
+        val (la, lb) = (fine(d.members(m.a).head), fine(d.members(m.b).head))
+        la != lb && d.cut(k).toSeq == canonical(fine.toSeq.map(l => if (l == lb) la else l))
+      }
+    })
+    assert(res.passed, res.status.toString)
   }
 
   test("cophenetic matrix is an ultrametric for monotone linkages") {

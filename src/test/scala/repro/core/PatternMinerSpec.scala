@@ -87,13 +87,6 @@ class PatternMinerSpec extends SparkSpec {
     }
   }
 
-  test("supportOf looks up by set regardless of order") {
-    val cp = mined.find(_.itemsets.exists(_.items.size >= 2)).get
-    val fi = cp.itemsets.find(_.items.size >= 2).get
-    assert(cp.supportOf(fi.items.reverse.toSet).contains(fi.support))
-    assert(cp.supportOf(Set("no-such-item-xyz")).isEmpty)
-  }
-
   test("a custom support threshold is honoured") {
     val strict = PatternMiner.minePerCuisine(
       recipes.filter($"cuisine" === "Greek"), minSupport = 0.5)

@@ -17,12 +17,6 @@ class ItemsetsSpec extends AnyFunSuite {
     assert(Itemsets.patternString(Seq("b", "a", "c")) == Itemsets.patternString(Seq("c", "a", "b")))
   }
 
-  test("toMap keys by item set") {
-    val m = Itemsets.toMap(Seq(fi(0.4, "a"), fi(0.3, "a", "b")))
-    assert(m(Set("a")) == 0.4)
-    assert(m(Set("a", "b")) == 0.3)
-  }
-
   test("maximal drops itemsets with a frequent strict superset") {
     val all = Seq(fi(0.5, "a"), fi(0.4, "b"), fi(0.3, "a", "b"), fi(0.25, "c"))
     val m = Itemsets.maximal(all).map(_.items.toSet).toSet

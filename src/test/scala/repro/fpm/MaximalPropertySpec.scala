@@ -40,7 +40,7 @@ class MaximalPropertySpec extends AnyFunSuite {
   test("maximal preserves supports") {
     (1 to 10).foreach { seed =>
       val mined = randomMined(seed)
-      val bySet = Itemsets.toMap(mined)
+      val bySet = mined.map(fi => fi.items.toSet -> fi.support).toMap
       Itemsets.maximal(mined).foreach { fi =>
         assert(bySet(fi.items.toSet) == fi.support)
       }

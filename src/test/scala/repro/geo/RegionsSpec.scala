@@ -52,6 +52,12 @@ class RegionsSpec extends AnyFunSuite {
     assert(d.n == 3)
     assert(d(0, 1) == Regions.haversineKm(
       Regions.coordinates("French"), Regions.coordinates("UK")))
+    val all = CuisineSpecs.all.map(_.name)
+    val c = all.map(Regions.coordinates)
+    val dAll = Regions.distanceMatrix(all)
+    assert(dAll.n == 26)
+    for (i <- 0 until 26; j <- 0 until 26 if i != j)
+      assert(dAll(i, j) == Regions.haversineKm(c(i), c(j)), s"(${all(i)}, ${all(j)})")
   }
 
   test("distanceMatrix rejects unknown regions") {

@@ -1,8 +1,9 @@
 package repro.jobs
 
 import repro.SparkSpec
-import repro.core.Pipeline
+import repro.core.{PatternMiner, Pipeline}
 import repro.cluster.KMeans
+import repro.fpm.FreqItemset
 import repro.recipedb.{CuisineSpecs, RecipeGen}
 
 /** The jobs' pure rendering/aggregation functions, driven at small scale —
@@ -27,6 +28,13 @@ class JobsSpec extends SparkSpec {
     val korean = rows.filter(_.cuisine == "Korean")
     assert(korean.map(_.paperSupport).sorted == Seq(0.24, 0.34))
     assert(korean.forall(_.paperPatternCount == 85))
+  }
+
+  test("TableIJob.rows looks a named pattern's support up by item set, in any order") {
+    val korean = PatternMiner.CuisinePatterns("Korean", 10,
+      Seq(FreqItemset(Seq("sesame oil", "soy sauce"), 4, 0.4)))
+    val support = TableIJob.rows(Seq(korean)).map(r => r.namedPattern -> r.measuredSupport)
+    assert(support == Seq("sesame oil + soy sauce" -> Some(0.4), "green onion + sesame oil" -> None))
   }
 
   test("TableIJob.render emits a header plus one line per row") {

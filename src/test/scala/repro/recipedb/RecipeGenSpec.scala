@@ -48,7 +48,7 @@ class RecipeGenSpec extends SparkSpec {
   }
 
   test("total row count matches the cuisine ranges") {
-    assert(df.count() == RecipeGen.totalRecipes(sf))
+    assert(df.count() == CuisineSpecs.all.map(_.nAt(sf)).sum)
   }
 
   test("per-cuisine counts match nAt(sf) (oracle-checked)") {
@@ -66,7 +66,7 @@ class RecipeGenSpec extends SparkSpec {
 
   test("at SF=1 cuisine sizes are exactly Table I counts (computed, not generated)") {
     CuisineSpecs.all.foreach(s => assert(s.nAt(1.0) == s.nRecipes, s.name))
-    assert(RecipeGen.totalRecipes(1.0) == 118171L)
+    assert(CuisineSpecs.all.map(_.nRecipes).sum == 118171L)
   }
 
   test("ids are unique and contiguous from 0") {
