@@ -99,7 +99,7 @@ class ClusteringBench extends SparkSpec {
     val geoD = repro.geo.Regions.distanceMatrix(res.cuisines)
     println("\nCophenetic correlation vs raw geographic distances:")
     (res.trees - "geo").foreach { case (name, t) =>
-      val c = repro.cluster.TreeCompare.copheneticCorrelation(t, geoD)
+      val c = repro.cluster.TreeCorrelation.copheneticCorrelation(t, geoD)
       println(f"  $name%-14s $c%.4f")
     }
   }

@@ -49,7 +49,7 @@ class TableIBench extends SparkSpec {
       val r = byCuisine(s.name)
       (r.paperPatternCount.toDouble, r.measuredPatternCount.toDouble)
     }
-    val corr = repro.cluster.TreeCompare.pearson(
+    val corr = repro.cluster.TreeCorrelation.pearson(
       pairs.map(_._1).toArray, pairs.map(_._2).toArray)
     println(f"pattern-count correlation (paper vs measured): $corr%.3f")
     assert(corr > 0.6, f"correlation $corr%.3f too low")

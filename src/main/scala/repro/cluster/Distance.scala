@@ -37,16 +37,13 @@ object Distance {
     s
   }
 
-  /** Squared Euclidean distance; k-means' kernel. */
-  def sqEuclidean(a: Array[Double], b: Array[Double]): Double = {
+  val euclidean: Metric = (a, b) => {
     require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")
     var s = 0.0
     var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    s
+    math.sqrt(s)
   }
-
-  val euclidean: Metric = (a, b) => math.sqrt(sqEuclidean(a, b))
 
   /** 1 - cos(a, b); distance 0 for two zero vectors, 1 if exactly one is zero. */
   val cosine: Metric = (a, b) => {

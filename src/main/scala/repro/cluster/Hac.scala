@@ -31,20 +31,20 @@ object Hac {
     val merges = Vector.newBuilder[Merge]
     var nextId = n
     while (active.size > 1) {
-      // find the closest active pair (deterministic tie-break on ids)
-      var bi = -1; var bj = -1; var best = Double.PositiveInfinity
+      // find the closest active pair (deterministic tie-break on ids); i < j,
+      // as `active` keeps insertion order and every merge appends the largest id
+      var i = -1; var j = -1; var best = Double.PositiveInfinity
       val act = active.toArray
       var x = 0
       while (x < act.length) {
         var y = x + 1
         while (y < act.length) {
           val dij = d(act(x))(act(y))
-          if (dij < best) { best = dij; bi = act(x); bj = act(y) }
+          if (dij < best) { best = dij; i = act(x); j = act(y) }
           y += 1
         }
         x += 1
       }
-      val (i, j) = (math.min(bi, bj), math.max(bi, bj))
       val ni = size(i).toDouble
       val nj = size(j).toDouble
       // Lance–Williams update for every other active cluster k

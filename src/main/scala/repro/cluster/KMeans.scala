@@ -1,94 +1,86 @@
 package repro.cluster
 
-import repro.cluster.Distance.sqEuclidean
 import scala.util.Random
 
 /** k-means (k-means++ init, Lloyd iterations) and the elbow/WCSS sweep of
   * the paper's Figure 1. Driver-side — 26 cuisine vectors do not
   * need a distributed implementation.
+  *
+  * Every centre is the mean of a set of rows: one row when k-means++ seeds
+  * or re-seeds it, a cluster's members after a Lloyd step. So every distance
+  * follows from the Gram matrix G = X·Xᵀ, built once per sweep (kernel
+  * k-means with a linear kernel; Dhillon, Guan & Kulis 2004).
   */
 object KMeans {
-
-  final case class Result(centers: Array[Array[Double]], labels: Array[Int], wcss: Double)
 
   private val MaxSteps = 100
   private val Runs = 8
   private val Seed = 7L
 
-  /** k-means++ seeding (Arthur & Vassilvitskii 2007). */
-  private def seedCenters(x: Array[Array[Double]], k: Int, rnd: Random): Array[Array[Double]] = {
-    val centers = new Array[Array[Double]](k)
-    centers(0) = x(rnd.nextInt(x.length)).clone()
-    val d2 = x.map(sqEuclidean(_, centers(0)))
-    var c = 1
-    while (c < k) {
+  /** Squared distance of each row i to the mean μ of the rows S:
+    * ‖x_i − μ‖² = (|S|²·G_ii − 2|S|·Σ_{j∈S} G_ij + Σ_{j,l∈S} G_jl) / |S|².
+    * On binary rows the numerator is an exact integer, so two equal distances
+    * compare equal and a tie goes to the lower centre index.
+    */
+  private def sqDistTo(g: Array[Array[Double]], rows: Array[Int]): Int => Double = {
+    val m = rows.length.toDouble
+    val self = rows.map(j => rows.map(g(j)(_)).sum).sum
+    i => (m * m * g(i)(i) - 2 * m * rows.map(g(i)(_)).sum + self) / (m * m)
+  }
+
+  private def wcssOnce(g: Array[Array[Double]], k: Int, seed: Long): Double = {
+    val n = g.length
+    val rnd = new Random(seed)
+    // k-means++ seeding (Arthur & Vassilvitskii 2007)
+    val centres = new Array[Int => Double](k)
+    centres(0) = sqDistTo(g, Array(rnd.nextInt(n)))
+    val d2 = Array.tabulate(n)(centres(0))
+    for (c <- 1 until k) {
       val totalW = d2.sum
       val chosen =
-        if (totalW <= 0) rnd.nextInt(x.length)
+        if (totalW <= 0) rnd.nextInt(n)
         else {
           var r = rnd.nextDouble() * totalW
           var i = 0
-          while (i < x.length - 1 && r > d2(i)) { r -= d2(i); i += 1 }
+          while (i < n - 1 && r > d2(i)) { r -= d2(i); i += 1 }
           i
         }
-      centers(c) = x(chosen).clone()
-      var i = 0
-      while (i < x.length) { d2(i) = math.min(d2(i), sqEuclidean(x(i), centers(c))); i += 1 }
-      c += 1
+      centres(c) = sqDistTo(g, Array(chosen))
+      for (i <- 0 until n) d2(i) = math.min(d2(i), centres(c)(i))
     }
-    centers
-  }
-
-  private def fitOnce(x: Array[Array[Double]], k: Int, seed: Long): Result = {
-    require(k >= 1 && k <= x.length, s"k=$k outside [1, ${x.length}]")
-    val rnd = new Random(seed)
-    val dim = x.head.length
-    var centers = seedCenters(x, k, rnd)
-    val labels = new Array[Int](x.length)
-    var iter = 0
+    val labels = new Array[Int](n)
+    var steps = 0
     var changed = true
-    while (changed && iter < MaxSteps) {
+    while (changed && steps < MaxSteps) {
       changed = false
-      var i = 0
-      while (i < x.length) {
+      for (i <- 0 until n) {
         var best = 0
-        var bd = sqEuclidean(x(i), centers(0))
-        var c = 1
-        while (c < k) {
-          val d = sqEuclidean(x(i), centers(c))
+        var bd = centres(0)(i)
+        for (c <- 1 until k) {
+          val d = centres(c)(i)
           if (d < bd) { bd = d; best = c }
-          c += 1
         }
         if (labels(i) != best) { labels(i) = best; changed = true }
-        i += 1
       }
-      val sums = Array.fill(k)(new Array[Double](dim))
-      val cnts = new Array[Int](k)
-      i = 0
-      while (i < x.length) {
-        val c = labels(i)
-        cnts(c) += 1
-        var dd = 0
-        while (dd < dim) { sums(c)(dd) += x(i)(dd); dd += 1 }
-        i += 1
+      for (c <- 0 until k) {
+        val members = (0 until n).filter(labels(_) == c).toArray
+        // re-seed an empty cluster with a random row
+        centres(c) = sqDistTo(g, if (members.isEmpty) Array(rnd.nextInt(n)) else members)
       }
-      centers = Array.tabulate(k) { c =>
-        if (cnts(c) == 0) x(rnd.nextInt(x.length)).clone() // re-seed empty cluster
-        else sums(c).map(_ / cnts(c))
-      }
-      iter += 1
+      steps += 1
     }
-    val wcss = x.indices.map(i => sqEuclidean(x(i), centers(labels(i)))).sum
-    Result(centers, labels, wcss)
+    (0 until n).map(i => centres(labels(i))(i)).sum
   }
 
-  /** Best of eight runs (lowest WCSS), each with a fixed seed, so the
-    * result is deterministic.
+  /** WCSS for each k — the numbers behind the paper's elbow plot (Fig 1).
+    * Each is the best (lowest) of eight runs with fixed seeds, so the sweep
+    * is deterministic.
     */
-  def fit(x: Array[Array[Double]], k: Int): Result =
-    (0 until Runs).map(r => fitOnce(x, k, Seed + r * 1000003L)).minBy(_.wcss)
-
-  /** WCSS for each k — the numbers behind the paper's elbow plot (Fig 1). */
-  def elbow(x: Array[Array[Double]], ks: Seq[Int]): Seq[(Int, Double)] =
-    ks.map(k => k -> fit(x, k).wcss)
+  def elbow(x: Array[Array[Double]], ks: Seq[Int]): Seq[(Int, Double)] = {
+    val g = x.map(a => x.map(Distance.dot(a, _)))
+    ks.map { k =>
+      require(k >= 1 && k <= x.length, s"k=$k outside [1, ${x.length}]")
+      k -> (0 until Runs).map(r => wcssOnce(g, k, Seed + r * 1000003L)).min
+    }
+  }
 }

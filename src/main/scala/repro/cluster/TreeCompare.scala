@@ -2,37 +2,9 @@ package repro.cluster
 
 /** Quantitative dendrogram comparison. The paper validates its cuisine
   * trees against the geography tree by visual inspection; we quantify the
-  * same comparison with (a) cophenetic correlation and (b) Fowlkes–Mallows
-  * index averaged over flat cuts.
+  * same comparison with the Fowlkes–Mallows index averaged over flat cuts.
   */
 object TreeCompare {
-
-  /** Pearson correlation between two condensed matrices (e.g. cophenetic
-    * matrices of two dendrograms over the same leaves).
-    */
-  def pearson(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length && a.length >= 2, "need matching arrays of length >= 2")
-    val n = a.length
-    val ma = a.sum / n
-    val mb = b.sum / n
-    var sab = 0.0; var sa = 0.0; var sb = 0.0
-    var i = 0
-    while (i < n) {
-      val da = a(i) - ma
-      val db = b(i) - mb
-      sab += da * db; sa += da * da; sb += db * db
-      i += 1
-    }
-    if (sa == 0 || sb == 0) 0.0 else sab / math.sqrt(sa * sb)
-  }
-
-  /** Cophenetic correlation between a dendrogram and raw distances — the
-    * classic measure of how faithfully a tree represents its input.
-    */
-  def copheneticCorrelation(x: Dendrogram, d: DistMatrix): Double = {
-    require(x.nLeaves == d.n, "dimension mismatch")
-    pearson(x.cophenetic.condensed, d.condensed)
-  }
 
   /** Fowlkes–Mallows index B_k between two flat labelings. */
   def fowlkesMallows(a: Array[Int], b: Array[Int]): Double = {

@@ -24,8 +24,8 @@ object Pipeline {
       cuisines: IndexedSeq[String],
       patterns: Seq[PatternMiner.CuisinePatterns],
       features: PatternFeatures.Features,
-      trees: ListMap[String, Dendrogram], // each of Metrics, then "authenticity" and "geo"
-      geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs geo tree
+      trees: ListMap[String, Dendrogram], // Metrics, "authenticity", then "geo" if all cuisines have coordinates
+      geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs the geo tree; empty without one
   ) {
     /** Fig 1: k-means WCSS on the pattern vectors for k = 1..10, computed on
       * first read.
@@ -47,6 +47,7 @@ object Pipeline {
   /** Run everything on an existing recipes DataFrame, at the paper's
     * settings: minimum support 0.2 and average linkage. Needs at least three
     * cuisines, and fails on a null `items` or `ingredients` array or item.
+    * A cuisine without coordinates skips the geography tree and comparison.
     * `spark` is unused; the benchmark harness still passes it.
     *
     * Cache `recipes`, and fill the cache, before its first reproduction: the
@@ -68,12 +69,13 @@ object Pipeline {
     val fp = Authenticity.fromCounts(counts)
     val trees = ListMap.from(Metrics.map(m => m -> Distance.pdist(vectors, Distance.byName(m))) ++ Seq(
       "authenticity" -> Distance.pdist(fp.matrix.toSeq, Distance.euclidean),
+    ) ++ Option.when(cuisines.forall(Regions.coordinates.contains))(
       "geo" -> Regions.distanceMatrix(cuisines),
     )).map { case (name, d) => name -> Hac.cluster(d) }
 
     val ks = 2 to math.min(12, cuisines.size - 1)
-    val sims = (trees - "geo").map { case (name, t) =>
-      name -> TreeCompare.meanFowlkesMallows(t, trees("geo"), ks)
+    val sims = trees.get("geo").fold(Map.empty[String, Double]) { geo =>
+      (trees - "geo").map { case (name, t) => name -> TreeCompare.meanFowlkesMallows(t, geo, ks) }
     }
 
     Results(cuisines, patterns, features, trees, sims)

@@ -33,6 +33,6 @@ object Rng {
   /** Uniform int in [0, n) from (seed, recipe, itemKey). */
   def uniformInt(seed: Long, recipe: Long, itemKey: Long, n: Int): Int = {
     require(n > 0, s"n must be positive, got $n")
-    (((hash(seed, recipe, itemKey) >>> 33) % n).toInt + n) % n
+    ((hash(seed, recipe, itemKey) >>> 33) % n).toInt
   }
 }

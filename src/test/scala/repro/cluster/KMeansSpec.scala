@@ -7,12 +7,19 @@ class KMeansSpec extends AnyFunSuite {
   private def blob(rnd: scala.util.Random, center: Array[Double], n: Int, spread: Double) =
     Seq.fill(n)(center.map(_ + (rnd.nextDouble() - 0.5) * spread))
 
+  /** Σ ‖x − mean‖² over the rows of one blob. */
+  private def sqDeviations(rows: Seq[Array[Double]]): Double = {
+    val mean = rows.transpose.map(_.sum / rows.size)
+    rows.map(_.zip(mean).map { case (v, m) => (v - m) * (v - m) }.sum).sum
+  }
+
+  private def closeTo(a: Double, b: Double) =
+    math.abs(a - b) <= 1e-9 * math.max(math.abs(a), math.abs(b))
+
   test("k=1 center is the mean and WCSS is total variance * n") {
     val x = Array(Array(0.0, 0.0), Array(2.0, 0.0), Array(0.0, 2.0), Array(2.0, 2.0))
-    val r = KMeans.fit(x, 1)
-    assert(r.centers.length == 1)
-    assert(r.centers(0).toSeq == Seq(1.0, 1.0))
-    assert(math.abs(r.wcss - 8.0) < 1e-9) // each point at squared distance 2
+    val Seq((1, wcss)) = KMeans.elbow(x, Seq(1))
+    assert(math.abs(wcss - 8.0) < 1e-9) // each point at squared distance 2 from (1, 1)
   }
 
   test("recovers well-separated clusters") {
@@ -20,23 +27,16 @@ class KMeansSpec extends AnyFunSuite {
     val a = blob(rnd, Array(0.0, 0.0), 20, 0.5)
     val b = blob(rnd, Array(10.0, 10.0), 20, 0.5)
     val c = blob(rnd, Array(-10.0, 10.0), 20, 0.5)
-    val x = (a ++ b ++ c).toArray
-    val r = KMeans.fit(x, 3)
-    // all points of one blob share a label, and the three labels differ
-    val la = (0 until 20).map(r.labels).distinct
-    val lb = (20 until 40).map(r.labels).distinct
-    val lc = (40 until 60).map(r.labels).distinct
-    assert(la.size == 1 && lb.size == 1 && lc.size == 1)
-    assert(Set(la.head, lb.head, lc.head).size == 3)
+    val Seq((3, wcss)) = KMeans.elbow((a ++ b ++ c).toArray, Seq(3))
+    // only the partition into the three blobs has this WCSS
+    val expected = Seq(a, b, c).map(sqDeviations).sum
+    assert(closeTo(wcss, expected), s"$wcss vs $expected")
   }
 
   test("deterministic") {
     val rnd = new scala.util.Random(6)
     val x = Seq.fill(30)(Array.fill(4)(rnd.nextDouble())).toArray
-    val r1 = KMeans.fit(x, 4)
-    val r2 = KMeans.fit(x, 4)
-    assert(r1.wcss == r2.wcss)
-    assert(r1.labels.toSeq == r2.labels.toSeq)
+    assert(KMeans.elbow(x, 1 to 6) == KMeans.elbow(x, 1 to 6))
   }
 
   test("WCSS is non-increasing in k (best-of-restarts)") {
@@ -49,27 +49,38 @@ class KMeansSpec extends AnyFunSuite {
 
   test("k equal to n gives zero WCSS") {
     val x = Array(Array(0.0), Array(5.0), Array(9.0))
-    val r = KMeans.fit(x, 3)
-    assert(r.wcss < 1e-12)
-  }
-
-  test("labels are within [0, k)") {
-    val rnd = new scala.util.Random(8)
-    val x = Seq.fill(25)(Array.fill(2)(rnd.nextDouble())).toArray
-    val r = KMeans.fit(x, 5)
-    assert(r.labels.forall(l => l >= 0 && l < 5))
+    assert(math.abs(KMeans.elbow(x, Seq(3)).head._2) < 1e-12)
   }
 
   test("invalid k is rejected") {
     val x = Array(Array(0.0), Array(1.0))
-    intercept[IllegalArgumentException](KMeans.fit(x, 0))
-    intercept[IllegalArgumentException](KMeans.fit(x, 3))
+    intercept[IllegalArgumentException](KMeans.elbow(x, Seq(0)))
+    intercept[IllegalArgumentException](KMeans.elbow(x, Seq(3)))
   }
 
   test("duplicate points do not crash (empty-cluster reseeding)") {
     val x = Array.fill(10)(Array(1.0, 1.0))
-    val r = KMeans.fit(x, 3)
-    assert(r.wcss < 1e-12)
+    assert(math.abs(KMeans.elbow(x, Seq(3)).head._2) < 1e-12)
+  }
+
+  test("scaling every row by 2 scales every WCSS by exactly 4") {
+    // A power of two scales every distance exactly, so the k-means++ draws
+    // and the Lloyd steps are those of the unscaled data.
+    val rnd = new scala.util.Random(9)
+    val x = Seq.fill(40)(Array.fill(3)(rnd.nextDouble() * 5)).toArray
+    val ws = KMeans.elbow(x, 1 to 10)
+    val scaled = KMeans.elbow(x.map(_.map(_ * 2)), 1 to 10)
+    assert(scaled == ws.map { case (k, w) => k -> 4 * w })
+  }
+
+  test("translating every row leaves every WCSS unchanged") {
+    val rnd = new scala.util.Random(10)
+    val x = Seq(Array(0.0, 0.0, 0.0), Array(6.0, 6.0, 0.0), Array(-6.0, 6.0, 3.0), Array(0.0, -6.0, 6.0))
+      .flatMap(blob(rnd, _, 12, 2.0)).toArray
+    val shift = Array(3.5, -1.25, 7.0)
+    val ws = KMeans.elbow(x, 1 to 10)
+    val moved = KMeans.elbow(x.map(_.zip(shift).map { case (v, s) => v + s }), 1 to 10)
+    ws.zip(moved).foreach { case ((k, w), (_, m)) => assert(closeTo(w, m), s"k=$k: $w vs $m") }
   }
 
   test("elbow on structureless data shows no sharp elbow (paper Fig 1 claim)") {

@@ -9,35 +9,35 @@ class TreeCompareSpec extends AnyFunSuite {
   private val tree = Hac.cluster(line)
 
   test("pearson of identical arrays is 1") {
-    assert(math.abs(TreeCompare.pearson(Array(1.0, 2, 3), Array(1.0, 2, 3)) - 1.0) < 1e-12)
+    assert(math.abs(TreeCorrelation.pearson(Array(1.0, 2, 3), Array(1.0, 2, 3)) - 1.0) < 1e-12)
   }
 
   test("pearson of anti-correlated arrays is -1") {
-    assert(math.abs(TreeCompare.pearson(Array(1.0, 2, 3), Array(3.0, 2, 1)) + 1.0) < 1e-12)
+    assert(math.abs(TreeCorrelation.pearson(Array(1.0, 2, 3), Array(3.0, 2, 1)) + 1.0) < 1e-12)
   }
 
   test("pearson is scale and shift invariant") {
     val a = Array(1.0, 5.0, 2.0, 8.0)
     val b = a.map(x => 3 * x + 7)
-    assert(math.abs(TreeCompare.pearson(a, b) - 1.0) < 1e-12)
+    assert(math.abs(TreeCorrelation.pearson(a, b) - 1.0) < 1e-12)
   }
 
   test("pearson of a constant array is defined as 0") {
-    assert(TreeCompare.pearson(Array(1.0, 1.0, 1.0), Array(1.0, 2.0, 3.0)) == 0.0)
+    assert(TreeCorrelation.pearson(Array(1.0, 1.0, 1.0), Array(1.0, 2.0, 3.0)) == 0.0)
   }
 
   test("cophenetic correlation of a tree with itself is 1") {
-    assert(math.abs(TreeCompare.copheneticCorrelation(tree, tree.cophenetic) - 1.0) < 1e-12)
+    assert(math.abs(TreeCorrelation.copheneticCorrelation(tree, tree.cophenetic) - 1.0) < 1e-12)
   }
 
   test("cophenetic correlation with the source distances is high for clean data") {
     // Sokal & Rohlf 1962: Pearson r between the cophenetic distances
     // (1, 10.5, 10.5, 10.5, 10.5, 2) and the distances (1, 10, 12, 9, 11, 2).
-    val c = TreeCompare.copheneticCorrelation(tree, line)
+    val c = TreeCorrelation.copheneticCorrelation(tree, line)
     assert(math.abs(c - math.sqrt(217.0 / 227.0)) < 1e-12, c.toString)
     // HAC reproduces an ultrametric input exactly, so r = 1.
     val ultra = DistMatrix(4, Array(1.0, 10.5, 10.5, 10.5, 10.5, 2.0))
-    val r = TreeCompare.copheneticCorrelation(Hac.cluster(ultra), ultra)
+    val r = TreeCorrelation.copheneticCorrelation(Hac.cluster(ultra), ultra)
     assert(math.abs(r - 1.0) < 1e-12, r.toString)
   }
 
@@ -87,7 +87,7 @@ class TreeCompareSpec extends AnyFunSuite {
 
   test("mismatched leaf counts are rejected") {
     val t2 = Hac.cluster(DistMatrix(2, Array(1.0)))
-    intercept[IllegalArgumentException](TreeCompare.copheneticCorrelation(tree, t2.cophenetic))
+    intercept[IllegalArgumentException](TreeCorrelation.copheneticCorrelation(tree, t2.cophenetic))
     intercept[IllegalArgumentException](TreeCompare.meanFowlkesMallows(tree, t2, 2 to 2))
     intercept[IllegalArgumentException](
       TreeCompare.fowlkesMallows(Array(0, 1), Array(0, 1, 2)))

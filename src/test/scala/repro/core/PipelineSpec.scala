@@ -89,6 +89,15 @@ class PipelineSpec extends SparkSpec {
     assert(r.wcss eq wcss)
   }
 
+  test("Fig 1's WCSS at SF 0.02, seed 42 keeps its ten values") {
+    val expected = Seq(1588.0384615384, 1345.76, 1240.2083333333, 1073.7391304348, 946.0,
+      826.9824561404, 823.7777777778, 728.9435897436, 645.0428571429, 575.25)
+    assert(res.wcss.map(_._1) == (1 to 10))
+    res.wcss.map(_._2).zip(expected).foreach { case (got, want) =>
+      assert(math.abs(got - want) <= 1e-9 * want, s"$got vs $want")
+    }
+  }
+
   test("East Asian cuisines are cophenetically close in the authenticity tree") {
     val t = res.trees("authenticity")
     val jp = res.leafIndex("Japanese")
@@ -203,7 +212,7 @@ class PipelineSpec extends SparkSpec {
   test("interning in the pass matches driver-side mining and counts on multi-byte names of a cached DataFrame") {
     import spark.implicits._
     val named = utf8Recipes(Seq("Côte d'Ivoire", "中国", "Crète"))
-    // Pipeline.run places cuisines on the map, so it needs known regions.
+    // Cuisines with coordinates, which Pipeline.run also places on the map.
     val regions = utf8Recipes(Seq("Rest Africa", "Chinese and Mongolian", "Greek"))
     try Seq(named, regions).foreach { cached =>
       val byCuisine = cached.as[Recipe].collect().toSeq.groupBy(_.cuisine).toSeq.sortBy(_._1)
@@ -228,7 +237,18 @@ class PipelineSpec extends SparkSpec {
         .foreach { case (layout, df) =>
           assertPatterns(layout, PatternMiner.minePerCuisine(df))
           assert(AuthenticitySpec.itemCounts(df) == counts, layout)
-          if (cached eq regions) assertPatterns(s"$layout, Pipeline.run", Pipeline.run(spark, df).patterns)
+          val res = Pipeline.run(spark, df)
+          assertPatterns(s"$layout, Pipeline.run", res.patterns)
+          if (cached eq regions) {
+            assert(res.trees.keySet == Set("euclidean", "cosine", "jaccard", "authenticity", "geo"), layout)
+            assert(res.geoSimilarity.keySet == res.trees.keySet - "geo", layout)
+          } else {
+            // no coordinates, so no geography tree and nothing compared with it
+            assert(res.trees.keys.toSeq == Pipeline.Metrics :+ "authenticity", layout)
+            assert(res.geoSimilarity.isEmpty, layout)
+            val e = intercept[IllegalArgumentException](res.tree("geo"))
+            assert(e.getMessage.contains("unknown tree: geo"), layout)
+          }
         }
     } finally {
       named.unpersist()
