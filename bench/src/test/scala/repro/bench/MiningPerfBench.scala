@@ -25,7 +25,7 @@ class MiningPerfBench extends SparkSpec {
 
   import spark.implicits._
 
-  private val sf = BenchRun.sf
+  private val sf = 1.0
 
   private lazy val transactions = {
     val recipes = RecipeGen.recipes(spark, sf)

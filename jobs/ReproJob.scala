@@ -49,7 +49,7 @@ object ReproJob {
   def main(args: Array[String]): Unit = {
     val sf = if (args.nonEmpty) args(0).toDouble else 1.0
     val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(sys.props.getOrElse("spark.master", "local[*]"))
       .appName("repro-job").getOrCreate()
     try {
       println(render(Pipeline.run(spark, RecipeGen.recipes(spark, sf))))

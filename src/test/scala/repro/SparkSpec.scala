@@ -80,7 +80,7 @@ object SparkSpec {
 
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(sys.props.getOrElse("spark.master", "local[*]"))
       .appName("repro").getOrCreate()
     // One line in test output that records the memory setting and the
     // parallelism the run actually used.

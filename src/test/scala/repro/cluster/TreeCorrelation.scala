@@ -1,8 +1,7 @@
 package repro.cluster
 
-/** Correlation checks on dendrograms that only the tests and bench suites
-  * read: the paper's comparison with geography is [[TreeCompare]]'s
-  * Fowlkes–Mallows index.
+/** Correlation checks on dendrograms that only the tests read: the paper's
+  * comparison with geography is [[TreeCompare]]'s Fowlkes–Mallows index.
   */
 object TreeCorrelation {
 
