@@ -1,5 +1,7 @@
 package repro.jobs
 
+import java.io.{FileDescriptor, FileOutputStream, PrintStream}
+import java.nio.charset.StandardCharsets.UTF_8
 import org.apache.spark.sql.SparkSession
 import repro.core.Pipeline
 import repro.recipedb.RecipeGen
@@ -31,9 +33,12 @@ object ReproJob {
       sb ++= tree.newick(labels) + "\n"
       sb ++= tree.ascii(labels) + "\n\n"
     }
-    sb ++= "== Mean Fowlkes–Mallows similarity vs geography tree (k=2..12) ==\n"
-    res.geoSimilarity.toSeq.sortBy(-_._2).foreach { case (m, v) =>
-      sb ++= f"  $m%-14s $v%.4f\n"
+    if (res.geoSimilarity.nonEmpty) {
+      val ks = Pipeline.geoCuts(labels.size)
+      sb ++= s"== Mean Fowlkes–Mallows similarity vs geography tree (k=${ks.head}..${ks.last}) ==\n"
+      res.geoSimilarity.toSeq.sortBy(-_._2).foreach { case (m, v) =>
+        sb ++= f"  $m%-14s $v%.4f\n"
+      }
     }
     sb.result()
   }
@@ -51,8 +56,11 @@ object ReproJob {
     val spark = SparkSession.builder()
       .master(sys.props.getOrElse("spark.master", "local[*]"))
       .appName("repro-job").getOrCreate()
+    // UTF-8 whatever the locale: `System.out` would follow it, and a POSIX
+    // locale turns the en dash of "Fowlkes–Mallows" into '?'.
+    val out = new PrintStream(new FileOutputStream(FileDescriptor.out), true, UTF_8)
     try {
-      println(render(Pipeline.run(spark, RecipeGen.recipes(spark, sf))))
+      out.println(render(Pipeline.run(spark, RecipeGen.recipes(spark, sf))))
     } finally spark.stop()
   }
 }

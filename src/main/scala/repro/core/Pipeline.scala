@@ -20,6 +20,11 @@ object Pipeline {
 
   val Metrics: Seq[String] = Seq("euclidean", "cosine", "jaccard")
 
+  /** The flat cuts k at which the geography comparison scores each tree of
+    * `n` cuisines against the geo tree.
+    */
+  def geoCuts(n: Int): Range = 2 to math.min(12, n - 1)
+
   final case class Results(
       cuisines: IndexedSeq[String],
       patterns: Seq[PatternMiner.CuisinePatterns],
@@ -73,7 +78,7 @@ object Pipeline {
       "geo" -> Regions.distanceMatrix(cuisines),
     )).map { case (name, d) => name -> Hac.cluster(d) }
 
-    val ks = 2 to math.min(12, cuisines.size - 1)
+    val ks = geoCuts(cuisines.size)
     val sims = trees.get("geo").fold(Map.empty[String, Double]) { geo =>
       (trees - "geo").map { case (name, t) => name -> TreeCompare.meanFowlkesMallows(t, geo, ks) }
     }

@@ -1,5 +1,6 @@
 package repro.jobs
 
+import org.apache.spark.sql.functions.{col, when}
 import repro.SparkSpec
 import repro.core.{PatternMiner, Pipeline}
 import repro.cluster.KMeans
@@ -65,8 +66,31 @@ class JobsSpec extends SparkSpec {
       "authenticity", "geography").foreach { tree =>
       assert(out.contains(s"== HAC ($tree) =="), tree)
     }
-    assert(out.contains("Mean Fowlkes–Mallows similarity vs geography tree"))
+    assert(out.contains("Mean Fowlkes–Mallows similarity vs geography tree (k=2..12)"))
     // 5 trees, each rendered as newick (one ';') per section
     assert(out.count(_ == ';') >= 5)
+  }
+
+  // Three cuisines with coordinates and 50 or more recipes each at SF 0.01:
+  // a cuisine of a few recipes has a minimum count of 1 at support 0.2, so
+  // every subset of its items would be mined.
+  private lazy val three = {
+    val recipes = RecipeGen.recipes(spark, 0.01)
+    recipes.filter(recipes("cuisine").isin("Italian", "US", "Indian Subcontinent"))
+  }
+
+  test("ReproJob.renderTrees heads the Fowlkes–Mallows table with the cuts the comparison used") {
+    val res = Pipeline.run(spark, three)
+    assert(ReproJob.renderTrees(res).contains("== Mean Fowlkes–Mallows similarity vs geography tree (k=2..2) =="))
+  }
+
+  test("ReproJob.renderTrees omits the Fowlkes–Mallows section without a geography tree") {
+    val renamed = three.withColumn("cuisine",
+      when(col("cuisine") === "US", "Atlantis").otherwise(col("cuisine")))
+    val res = Pipeline.run(spark, renamed)
+    assert(res.geoSimilarity.isEmpty)
+    val out = ReproJob.renderTrees(res)
+    assert(out.contains("== HAC (authenticity) =="))
+    assert(!out.contains("Fowlkes"))
   }
 }
