@@ -32,10 +32,10 @@ object Pipeline {
       trees: ListMap[String, Dendrogram], // Metrics, "authenticity", then "geo" if all cuisines have coordinates
       geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs the geo tree; empty without one
   ) {
-    /** Fig 1: k-means WCSS on the pattern vectors for k = 1..10, computed on
-      * first read.
+    /** Fig 1: k-means WCSS on the pattern vectors for k = 1..min(10, n) over
+      * n cuisines, computed on first read.
       */
-    lazy val wcss: Seq[(Int, Double)] = KMeans.elbow(features.matrix, 1 to 10)
+    lazy val wcss: Seq[(Int, Double)] = KMeans.elbow(features.matrix, 1 to math.min(10, cuisines.size))
 
     def tree(name: String): Dendrogram = {
       require(trees.contains(name), s"unknown tree: $name")
@@ -52,7 +52,8 @@ object Pipeline {
   /** Run everything on an existing recipes DataFrame, at the paper's
     * settings: minimum support 0.2 and average linkage. Needs at least three
     * cuisines, and fails on a null `items` or `ingredients` array or item.
-    * A cuisine without coordinates skips the geography tree and comparison.
+    * Fig 1 covers k = 1..min(10, n) for n cuisines. A cuisine without
+    * coordinates skips the geography tree and comparison.
     * `spark` is unused; the benchmark harness still passes it.
     *
     * Cache `recipes`, and fill the cache, before its first reproduction: the

@@ -2,7 +2,6 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
@@ -67,12 +66,13 @@ object Oracle {
     } finally conn.close()
   }
 
-  /** Exploded (recipe id, cuisine, item) pairs of generated recipes — the
-    * shape the oracle queries run over (array columns are not comparable).
+  /** Exploded (recipe id, cuisine, item) rows of the array `column` of
+    * recipes, one per array element — the shape the oracle queries run over
+    * (array columns are not comparable).
     */
-  def explodedItems(recipes: DataFrame): DataFrame = {
+  def exploded(recipes: DataFrame, column: String): DataFrame = {
     import org.apache.spark.sql.functions.explode
-    recipes.select(recipes("id"), recipes("cuisine"), explode(recipes("items")).as("item"))
+    recipes.select(recipes("id"), recipes("cuisine"), explode(recipes(column)).as("item"))
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

@@ -1,30 +1,15 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.{Oracle, SparkSpec}
 import repro.recipedb.RecipeGen
 
 class AuthenticitySpec extends SparkSpec {
 
-  import AuthenticitySpec.{Counts, countsOf, itemCounts}
+  import AuthenticitySpec.{Counts, assertCountsMatchDuckDb, countsOf, itemCounts, tinyCounts}
   import spark.implicits._
 
-  /** Tiny hand-checkable dataset: 2 cuisines, known memberships. */
-  private lazy val tiny = Seq(
-    (0L, "A", Seq("x", "y")),
-    (1L, "A", Seq("x")),
-    (2L, "A", Seq("y", "z")),
-    (3L, "A", Seq("x")),
-    (4L, "B", Seq("x")),
-    (5L, "B", Seq("z")),
-  ).toDF("id", "cuisine", "ingredients")
-
-  /** N_c and n_i^c of `tiny`, counted by hand. */
-  private val tinyCounts = Seq(
-    Counts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
-    Counts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
-  )
+  private lazy val tiny = AuthenticitySpec.tiny(spark)
 
   private lazy val gen = RecipeGen.recipes(spark, 0.01).cache()
 
@@ -49,11 +34,8 @@ class AuthenticitySpec extends SparkSpec {
     FROM prev JOIN sums ON prev.item = sums.item
     """
 
-  private def exploded(recipes: DataFrame): DataFrame =
-    recipes.select($"id", $"cuisine", explode($"ingredients").as("item")).distinct()
-
   private def oracleTables(recipes: DataFrame): Seq[(String, DataFrame)] =
-    Seq("recipes" -> recipes.select("id", "cuisine"), "ex" -> exploded(recipes))
+    Seq("recipes" -> recipes.select("id", "cuisine"), "ex" -> Oracle.exploded(recipes, "ingredients").distinct())
 
   /** Every matrix cell as ((cuisine, item), rel_prevalence). */
   private def cells(fp: Authenticity.Fingerprints): Map[(String, String), Double] =
@@ -81,33 +63,8 @@ class AuthenticitySpec extends SparkSpec {
     }
   }
 
-  /** N_c and n_i^c of `recipes` against the same counts in DuckDB. */
-  private def assertCountsMatchDuckDb(recipes: DataFrame): Unit = {
-    val counts = itemCounts(recipes)
-    val withItem = counts.flatMap(c => c.withItem.map { case (i, n) => (c.cuisine, i, n) })
-    Oracle.assertEquivalent(
-      withItem.toDF("cuisine", "item", "n_with_item"),
-      "SELECT cuisine, item, count(*) AS n_with_item FROM ex GROUP BY cuisine, item",
-      "ex" -> exploded(recipes),
-    )
-    Oracle.assertEquivalent(
-      counts.map(c => (c.cuisine, c.nRecipes)).toDF("cuisine", "n_recipes"),
-      "SELECT cuisine, count(*) AS n_recipes FROM recipes GROUP BY cuisine",
-      "recipes" -> recipes.select("id", "cuisine"),
-    )
-  }
-
   test("item counts are oracle-checked against DuckDB on generated data") {
-    assertCountsMatchDuckDb(gen)
-  }
-
-  test("item counts add up a cuisine's rows spread over several input partitions") {
-    val spread = tiny.repartition(3)
-    val partitionsOfA = spread.filter($"cuisine" === "A")
-      .select(spark_partition_id()).distinct().count()
-    assert(partitionsOfA > 1, s"cuisine A's rows sit in $partitionsOfA partition(s)")
-    assert(itemCounts(spread) == tinyCounts)
-    assertCountsMatchDuckDb(gen.repartition(8))
+    assertCountsMatchDuckDb(itemCounts(gen), gen)
   }
 
   test("item counts count a recipe once however often it lists an item") {
@@ -128,26 +85,6 @@ class AuthenticitySpec extends SparkSpec {
     val c = Authenticity.count("A", Array("x", "bake", "y", "pan"), Array(Array(0, 2), Array(0), Array.empty[Int]))
     assert(c.items.toSeq == Seq("x", "y") && c.withItem.toSeq == Seq(2, 1))
     assert(countsOf(c) == Counts("A", 3L, Map("x" -> 2L, "y" -> 1L)))
-  }
-
-  test("item counts reject a null item array with the cuisine and column named") {
-    val bad = Seq((0L, "B", Seq("x")), (1L, "B", null: Seq[String])).toDF("id", "cuisine", "ingredients")
-    val e = intercept[Exception](Authenticity.fingerprints(spark, tiny.union(bad)))
-    assert(e.getMessage.contains("null ingredients array in a recipe of cuisine B"), e.getMessage)
-  }
-
-  test("item counts reject a null item inside an item array with the cuisine and column named") {
-    val bad = Seq((0L, "B", Seq("x")), (1L, "B", Seq(null, "x"))).toDF("id", "cuisine", "ingredients")
-    val e = intercept[Exception](itemCounts(tiny.union(bad)))
-    assert(e.getMessage.contains("null item in the ingredients array of a recipe of cuisine B"), e.getMessage)
-  }
-
-  test("fingerprints run in one Spark job") {
-    // One grouped pass over the cached recipes, already clustered by cuisine.
-    gen.count() // materialise the cache outside the counted jobs
-    val (fp, activity) = sparkActivityOf(Authenticity.fingerprints(spark, gen))
-    assert(fp.cuisines.size == 26)
-    assert(activity.jobs == 1, activity)
   }
 
   test("fingerprints equal the DuckDB relative-prevalence SQL on generated data to 1e-12") {
@@ -205,11 +142,34 @@ class AuthenticitySpec extends SparkSpec {
 
 object AuthenticitySpec {
 
+  /** Tiny hand-checkable dataset: 2 cuisines, known memberships. */
+  def tiny(spark: SparkSession): DataFrame = spark.createDataFrame(Seq(
+    (0L, "A", Seq("x", "y")), (1L, "A", Seq("x")), (2L, "A", Seq("y", "z")), (3L, "A", Seq("x")),
+    (4L, "B", Seq("x")), (5L, "B", Seq("z")))).toDF("id", "cuisine", "ingredients")
+
+  /** N_c and n_i^c of `tiny`, counted by hand. */
+  val tinyCounts: Seq[Counts] = Seq(
+    Counts("A", 4L, Map("x" -> 3L, "y" -> 2L, "z" -> 1L)),
+    Counts("B", 2L, Map("x" -> 1L, "z" -> 1L)),
+  )
+
   /** One cuisine's N_c and n_i^c, keyed by item, in a form that compares by value. */
   final case class Counts(cuisine: String, nRecipes: Long, withItem: Map[String, Long])
 
   def countsOf(c: Authenticity.CuisineCounts): Counts =
     Counts(c.cuisine, c.nRecipes, c.items.zip(c.withItem.map(_.toLong)).toMap)
+
+  /** `counts` against N_c and n_i^c of the `ingredients` of `recipes` in DuckDB. */
+  def assertCountsMatchDuckDb(counts: Seq[Counts], recipes: DataFrame): Unit = {
+    import recipes.sparkSession.implicits._
+    val withItem = counts.flatMap(c => c.withItem.map { case (i, n) => (c.cuisine, i, n) })
+    Oracle.assertEquivalent(withItem.toDF("cuisine", "item", "n_with_item"),
+      "SELECT cuisine, item, count(*) AS n_with_item FROM ex GROUP BY cuisine, item",
+      "ex" -> Oracle.exploded(recipes, "ingredients").distinct())
+    Oracle.assertEquivalent(counts.map(c => (c.cuisine, c.nRecipes)).toDF("cuisine", "n_recipes"),
+      "SELECT cuisine, count(*) AS n_recipes FROM recipes GROUP BY cuisine",
+      "recipes" -> recipes.select("id", "cuisine"))
+  }
 
   /** N_c and n_i^c of the `ingredients` of `recipes`, one per cuisine sorted
     * by cuisine, from the pass that `Authenticity.fingerprints` runs.

@@ -36,26 +36,6 @@ class PatternMinerSpec extends SparkSpec {
     }
   }
 
-  test("all cuisines are mined in fewer Spark jobs than there are cuisines") {
-    // Guards against a return to one mining job (or more) per cuisine.
-    recipes.count() // materialise the cache outside the counted jobs
-    val (out, activity) = sparkActivityOf(PatternMiner.minePerCuisine(recipes))
-    assert(out.size == CuisineSpecs.all.size)
-    assert(activity.jobs > 0 && activity.jobs < out.size, s"$activity for ${out.size} cuisines")
-  }
-
-  test("a null item array is rejected with the cuisine and column named") {
-    val bad = Seq(("Greek", Seq("x")), ("Greek", null: Seq[String])).toDF("cuisine", "items")
-    val e = intercept[Exception](PatternMiner.minePerCuisine(bad))
-    assert(e.getMessage.contains("null items array in a recipe of cuisine Greek"), e.getMessage)
-  }
-
-  test("a null item inside an item array is rejected with the cuisine and column named") {
-    val bad = Seq(("Greek", Seq("x")), ("Greek", Seq("x", null))).toDF("cuisine", "items")
-    val e = intercept[Exception](PatternMiner.minePerCuisine(bad))
-    assert(e.getMessage.contains("null item in the items array of a recipe of cuisine Greek"), e.getMessage)
-  }
-
   test("an empty item array is mined as a recipe with no items") {
     val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "items")
     val Seq(cp) = PatternMiner.minePerCuisine(df, minSupport = 0.5)
@@ -68,7 +48,7 @@ class PatternMinerSpec extends SparkSpec {
     val cp = mined.find(_.cuisine == c).get
     val singles = cp.itemsets.filter(_.items.size == 1)
     assert(singles.nonEmpty)
-    val ex = Oracle.explodedItems(recipes).filter($"cuisine" === c)
+    val ex = Oracle.exploded(recipes, "items").filter($"cuisine" === c)
     val got = ex.groupBy("item").agg(count(lit(1)).as("freq"))
       .filter($"freq" >= math.ceil(cp.nRecipes * 0.2).toLong)
     Oracle.assertEquivalent(

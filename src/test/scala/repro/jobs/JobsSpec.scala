@@ -84,6 +84,12 @@ class JobsSpec extends SparkSpec {
     assert(ReproJob.renderTrees(res).contains("== Mean Fowlkes–Mallows similarity vs geography tree (k=2..2) =="))
   }
 
+  test("ReproJob.render of a three-cuisine run renders Fig 1 for k = 1..3") {
+    val res = Pipeline.run(spark, three)
+    assert(res.wcss.map(_._1) == (1 to 3))
+    assert(ReproJob.render(res).contains(ReproJob.renderElbow(KMeans.elbow(res.features.matrix, 1 to 3))))
+  }
+
   test("ReproJob.renderTrees omits the Fowlkes–Mallows section without a geography tree") {
     val renamed = three.withColumn("cuisine",
       when(col("cuisine") === "US", "Atlantis").otherwise(col("cuisine")))

@@ -114,7 +114,7 @@ class RecipeGenSpec extends SparkSpec {
     val cuisine = "Italian"
     val item = "parmesan cheese"
     val n = CuisineSpecs.byName(cuisine).nAt(sf).toDouble
-    val exploded = Oracle.explodedItems(df).filter(col("cuisine") === cuisine)
+    val exploded = Oracle.exploded(df, "items").filter(col("cuisine") === cuisine)
     val got = exploded.filter(col("item") === item)
       .agg(count(lit(1)).as("n_with"))
     Oracle.assertEquivalent(
