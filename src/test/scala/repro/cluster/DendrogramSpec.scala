@@ -1,7 +1,8 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop}
+import repro.Laws
 
 class DendrogramSpec extends AnyFunSuite {
 
@@ -47,17 +48,6 @@ class DendrogramSpec extends AnyFunSuite {
     assert(firstSeen.toSeq == (0 until 3))
   }
 
-  test("cuts are hierarchical: k clusters refine k-1 clusters") {
-    val d = randomTree(12, 5)
-    (2 to 12).foreach { k =>
-      val coarse = d.cut(k - 1)
-      val fine = d.cut(k)
-      // two points in the same fine cluster are in the same coarse cluster
-      for (i <- 0 until 12; j <- i + 1 until 12 if fine(i) == fine(j))
-        assert(coarse(i) == coarse(j), s"k=$k ($i,$j)")
-    }
-  }
-
   test("cut(k) is cut(k+1) with the clusters of merge n-k-1's two children united") {
     // Labels renumbered in order of first occurrence, as cut returns them.
     def canonical(labels: Seq[Int]): Seq[Int] = {
@@ -65,7 +55,7 @@ class DendrogramSpec extends AnyFunSuite {
       labels.map(l => seen.getOrElseUpdate(l, seen.size))
     }
     val gen = for { n <- Gen.choose(2, 30); seed <- Gen.long } yield randomTree(n, seed)
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), Prop.forAll(gen) { d =>
+    Laws.check(Prop.forAll(gen) { d =>
       val n = d.nLeaves
       (1 until n).forall { k =>
         val m = d.merges(n - k - 1)
@@ -73,8 +63,7 @@ class DendrogramSpec extends AnyFunSuite {
         val (la, lb) = (fine(d.members(m.a).head), fine(d.members(m.b).head))
         la != lb && d.cut(k).toSeq == canonical(fine.toSeq.map(l => if (l == lb) la else l))
       }
-    })
-    assert(res.passed, res.status.toString)
+    }, 100)
   }
 
   test("cophenetic matrix is an ultrametric for monotone linkages") {

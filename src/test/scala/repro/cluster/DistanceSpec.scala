@@ -1,14 +1,10 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop}
+import repro.Laws
 
 class DistanceSpec extends AnyFunSuite {
-
-  private def check(p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), p)
-    assert(res.passed, res.status.toString)
-  }
 
   private val vecGen: Gen[Array[Double]] =
     Gen.choose(1, 6).flatMap(n => Gen.listOfN(n, Gen.choose(-10.0, 10.0)).map(_.toArray))
@@ -44,16 +40,16 @@ class DistanceSpec extends AnyFunSuite {
 
   test("metrics are symmetric") {
     Seq(Distance.euclidean, Distance.cosine, Distance.jaccard).foreach { m =>
-      check(Prop.forAll(pairGen) { case (a, b) =>
+      Laws.check(Prop.forAll(pairGen) { case (a, b) =>
         math.abs(m(a, b) - m(b, a)) < 1e-9
-      })
+      }, 100)
     }
   }
 
   test("metrics are non-negative with zero self-distance") {
     Seq(Distance.euclidean, Distance.cosine, Distance.jaccard).foreach { m =>
-      check(Prop.forAll(vecGen) { a => m(a, a) < 1e-9 && m(a, a) >= 0.0 })
-      check(Prop.forAll(pairGen) { case (a, b) => m(a, b) >= 0.0 })
+      Laws.check(Prop.forAll(vecGen) { a => m(a, a) < 1e-9 && m(a, a) >= 0.0 }, 100)
+      Laws.check(Prop.forAll(pairGen) { case (a, b) => m(a, b) >= 0.0 }, 100)
     }
   }
 
@@ -64,9 +60,9 @@ class DistanceSpec extends AnyFunSuite {
       b <- Gen.listOfN(n, Gen.choose(-5.0, 5.0))
       c <- Gen.listOfN(n, Gen.choose(-5.0, 5.0))
     } yield (a.toArray, b.toArray, c.toArray)
-    check(Prop.forAll(g) { case (a, b, c) =>
+    Laws.check(Prop.forAll(g) { case (a, b, c) =>
       Distance.euclidean(a, c) <= Distance.euclidean(a, b) + Distance.euclidean(b, c) + 1e-9
-    })
+    }, 100)
   }
 
   test("dimension mismatch is rejected") {

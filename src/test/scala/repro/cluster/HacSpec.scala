@@ -1,14 +1,10 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop}
+import repro.Laws
 
 class HacSpec extends AnyFunSuite {
-
-  private def check(p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), p)
-    assert(res.passed, res.status.toString)
-  }
 
   // Euclidean distances between random points, kept only when no two pairs
   // are equidistant, so no merge depends on the tie-break.
@@ -34,22 +30,7 @@ class HacSpec extends AnyFunSuite {
     assert(math.abs(d.merges(2).height - 10.5) < 1e-9)
   }
 
-  test("average linkage via Lance–Williams equals the true mean of cross distances") {
-    // 5 random points; after each merge the inter-cluster distance must be
-    // the arithmetic mean of all leaf-pair distances across the clusters.
-    val rnd = new scala.util.Random(3)
-    val pts = Seq.fill(6)(Array.fill(3)(rnd.nextDouble() * 10))
-    val d = Distance.pdist(pts, Distance.euclidean)
-    val dend = Hac.cluster(d)
-    // check the final merge height explicitly
-    val last = dend.merges.last
-    val left = dend.members(last.a)
-    val right = dend.members(last.b)
-    val cross = for (i <- left.toSeq; j <- right.toSeq) yield d(i, j)
-    assert(math.abs(last.height - cross.sum / cross.size) < 1e-9)
-  }
-
-  test("heights are monotonically non-decreasing for all linkages") {
+  test("heights are monotonically non-decreasing") {
     val rnd = new scala.util.Random(11)
     val pts = Seq.fill(10)(Array.fill(4)(rnd.nextDouble()))
     val hs = Hac.cluster(Distance.pdist(pts, Distance.euclidean)).merges.map(_.height)
@@ -122,7 +103,7 @@ class HacSpec extends AnyFunSuite {
       d <- tieFreeGen
       seed <- Gen.long
     } yield (d, new scala.util.Random(seed).shuffle((0 until d.n).toVector))
-    check(Prop.forAll(gen) { case (d, p) =>
+    Laws.check(Prop.forAll(gen) { case (d, p) =>
       val n = d.n
       val permuted = DistMatrix(n, (for (i <- 0 until n; j <- i + 1 until n) yield d(p(i), p(j))).toArray)
       val a = Hac.cluster(d)
@@ -130,24 +111,24 @@ class HacSpec extends AnyFunSuite {
       a.merges.map(_.height).zip(b.merges.map(_.height)).forall { case (x, y) => close(x, y) } &&
         (for (i <- 0 until n; j <- i + 1 until n)
           yield close(b.cophenetic(i, j), a.cophenetic(p(i), p(j)))).forall(identity)
-    })
+    }, 100)
   }
 
   test("scaling every distance by c > 0 scales every height by c and keeps the merges") {
     val gen = for { d <- tieFreeGen; c <- Gen.choose(0.01, 100.0) } yield (d, c)
-    check(Prop.forAll(gen) { case (d, c) =>
+    Laws.check(Prop.forAll(gen) { case (d, c) =>
       val a = Hac.cluster(d)
       val b = Hac.cluster(DistMatrix(d.n, d.condensed.map(_ * c)))
       a.merges.map(m => (m.a, m.b, m.size)) == b.merges.map(m => (m.a, m.b, m.size)) &&
         a.merges.zip(b.merges).forall { case (x, y) => close(c * x.height, y.height) }
-    })
+    }, 100)
   }
 
   test("every merge joins the active pair with the smallest mean leaf distance, at that mean (UPGMA)") {
     // Brute force over the leaf distances, independent of the Lance–Williams
     // update: the mean is unweighted over leaf pairs, so clusters of
     // different sizes weigh in by size.
-    check(Prop.forAll(tieFreeGen) { d =>
+    Laws.check(Prop.forAll(tieFreeGen) { d =>
       val dend = Hac.cluster(d)
       def mean(a: Set[Int], b: Set[Int]): Double =
         (for (i <- a.toSeq; j <- b.toSeq) yield d(i, j)).sum / (a.size * b.size)
@@ -160,6 +141,6 @@ class HacSpec extends AnyFunSuite {
         active = active.filterNot(id => id == m.a || id == m.b) :+ (d.n + t)
         Set(m.a, m.b) == Set(bi, bj) && close(m.height, expected)
       }
-    })
+    }, 100)
   }
 }

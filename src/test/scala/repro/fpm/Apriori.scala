@@ -67,7 +67,6 @@ object Apriori {
     */
   private[fpm] def generateCandidates(lk: Array[Vector[String]]): Array[Vector[String]] = {
     if (lk.isEmpty) return Array.empty
-    val k = lk.head.length
     val lkSet = lk.toSet
     val byPrefix = lk.groupBy(_.dropRight(1))
     val cands = mutable.ArrayBuffer.empty[Vector[String]]
@@ -87,7 +86,6 @@ object Apriori {
         i += 1
       }
     }
-    val _ = k
     cands.toArray
   }
 }

@@ -6,40 +6,6 @@ class AprioriSpec extends SparkSpec {
 
   import spark.implicits._
 
-  private val small = Seq(
-    Seq("a", "b", "c"),
-    Seq("a", "b"),
-    Seq("b", "c"),
-    Seq("a", "c"),
-    Seq("a"),
-  )
-
-  test("matches brute force on a fixed example") {
-    val got = Apriori.mine(small.toDS(), 0.4)
-    assert(Itemsets.diff(got, BruteForce.mine(small, 0.4)).isEmpty)
-  }
-
-  test("matches FP-Growth across support levels") {
-    Seq(0.2, 0.4, 0.6, 0.8).foreach { s =>
-      val ap = Apriori.mine(small.toDS(), s)
-      val fp = FPGrowth.mineLocal(small, s)
-      assert(Itemsets.diff(ap, fp).isEmpty, s"support $s")
-    }
-  }
-
-  test("matches brute force on randomized inputs") {
-    val rnd = new scala.util.Random(5150)
-    (1 to 8).foreach { rep =>
-      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(6)).toChar).map(_.toString)
-      val tx: Seq[Seq[String]] = Seq.fill(2 + rnd.nextInt(30)) {
-        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
-      }
-      val minSup = 0.2 + rnd.nextDouble() * 0.6
-      val got = Apriori.mine(tx.toDS(), minSup)
-      assert(Itemsets.diff(got, BruteForce.mine(tx, minSup)).isEmpty, s"rep $rep")
-    }
-  }
-
   test("handles multi-word item names") {
     val tx = Seq(
       Seq("soy sauce", "sesame oil"),
@@ -63,10 +29,5 @@ class AprioriSpec extends SparkSpec {
 
   test("candidate generation from empty level is empty") {
     assert(Apriori.generateCandidates(Array.empty).isEmpty)
-  }
-
-  test("invalid minSupport is rejected") {
-    intercept[IllegalArgumentException](Apriori.mine(small.toDS(), 0.0))
-    intercept[IllegalArgumentException](Apriori.mine(small.toDS(), 1.0001))
   }
 }

@@ -1,30 +1,20 @@
 package repro.fpm
 
+import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
+import scala.util.Random
 
+/** [[FPGrowth.mineLocal]] on hand-computed and edge-case inputs, and every
+  * miner against [[BruteForce]]: each row of `Miners` and `Rejections` is one test.
+  */
 class FPGrowthSpec extends SparkSpec {
-
-  import spark.implicits._
-
-  private val small = Seq(
-    Seq("a", "b", "c"),
-    Seq("a", "b"),
-    Seq("b", "c"),
-    Seq("a", "c"),
-    Seq("a"),
-  )
+  import FPGrowthSpec._
 
   test("minCountFor uses inclusive ceil semantics") {
     assert(FPGrowth.minCountFor(0.2, 10) == 2L)
     assert(FPGrowth.minCountFor(0.25, 10) == 3L)
     assert(FPGrowth.minCountFor(1.0, 7) == 7L)
     assert(FPGrowth.minCountFor(0.5, 5) == 3L)
-  }
-
-  test("mineLocal matches brute force on a fixed example") {
-    val got = FPGrowth.mineLocal(small, 0.4)
-    val expected = BruteForce.mine(small, 0.4)
-    assert(Itemsets.diff(got, expected).isEmpty)
   }
 
   test("classic Han et al. example mines the known frequent itemsets") {
@@ -92,45 +82,17 @@ class FPGrowthSpec extends SparkSpec {
     assert(FPGrowth.mineLocal(tx, 0.5).isEmpty)
   }
 
-  test("invalid minSupport is rejected") {
-    intercept[IllegalArgumentException](FPGrowth.mineLocal(small, 0.0))
-    intercept[IllegalArgumentException](FPGrowth.mineLocal(small, 1.5))
-    intercept[IllegalArgumentException](FPGrowth.mineLocal(small, -0.1))
-  }
-
-  test("empty input is rejected") {
-    intercept[IllegalArgumentException](FPGrowth.mineLocal(Seq.empty, 0.5))
-  }
-
-  test("mineLocal agrees with brute force on randomized inputs") {
-    val rnd = new scala.util.Random(1234)
-    (1 to 30).foreach { rep =>
-      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(6)).toChar).map(_.toString)
-      val tx = Seq.fill(1 + rnd.nextInt(30)) {
-        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
-      }
-      val minSup = 0.1 + rnd.nextDouble() * 0.8
-      val d = Itemsets.diff(FPGrowth.mineLocal(tx, minSup), BruteForce.mine(tx, minSup))
-      assert(d.isEmpty, s"rep $rep minSup $minSup: ${d.take(5)}")
-    }
-  }
-
   test("permuting transactions and the items within them changes nothing") {
     // Metamorphic law: support counts sets of transactions, so neither the
     // order of transactions nor the order (or repetition) of items inside
     // one may change what is mined.
     def freqs(tx: Seq[Seq[String]], minSup: Double): Map[Seq[String], Long] =
       FPGrowth.mineLocal(tx, minSup).map(fi => fi.items -> fi.freq).toMap
-    val rnd = new scala.util.Random(4242)
-    (1 to 30).foreach { rep =>
-      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(11)).toChar).map(_.toString)
-      val tx = Seq.fill(1 + rnd.nextInt(60)) {
-        val t = rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1))
-        t ++ t.take(rnd.nextInt(3)) // some items listed twice
-      }
-      val minSup = 0.05 + rnd.nextDouble() * 0.6
+    Seeds.foreach { seed =>
+      val (tx, minSup) = random(seed)
+      val rnd = new Random(-seed) // a stream apart from the generator's
       val permuted = rnd.shuffle(tx).map(rnd.shuffle(_))
-      assert(freqs(permuted, minSup) == freqs(tx, minSup), s"rep $rep minSup $minSup")
+      assert(freqs(permuted, minSup) == freqs(tx, minSup), s"seed $seed minSup $minSup")
     }
   }
 
@@ -178,38 +140,71 @@ class FPGrowthSpec extends SparkSpec {
     assert(got.forall(fi => fi.freq == 70L && fi.support == 1.0))
   }
 
-  test("distributed == local == brute force on randomized inputs") {
-    // Alphabets of up to 10 items and supports down to 0.05 make mineLocal
-    // recurse several levels deep and prune the extensions infrequent with the
-    // parent pattern.
-    val rnd = new scala.util.Random(99)
-    val longest = (1 to 30).map { rep =>
-      val alphabet = ('a' to ('a' + 1 + rnd.nextInt(9)).toChar).map(_.toString)
-      val tx: Seq[Seq[String]] = Seq.fill(2 + rnd.nextInt(40)) {
-        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
+  Miners.foreach { case (name, mine) =>
+    test(s"$name agrees with BruteForce on small at supports 0.2-0.8 and on ${Seeds.size} seeded sets") {
+      Seq(0.2, 0.4, 0.6, 0.8).foreach { s =>
+        val d = Itemsets.diff(mine(spark, small, s), BruteForce.mine(small, s))
+        assert(d.isEmpty, s"small at $s: ${d.take(5)}")
       }
-      val minSup = 0.05 + rnd.nextDouble() * 0.8
-      val brute = BruteForce.mine(tx, minSup)
-      val dist = MLlibFPGrowth.mine(tx.toDS(), minSup)
-      assert(Itemsets.diff(dist, brute).isEmpty, s"rep $rep minSup $minSup")
-      val local = FPGrowth.mineLocal(tx, minSup)
-      assert(Itemsets.diff(local, brute).isEmpty, s"rep $rep (local) minSup $minSup")
-      local.map(_.items.size).maxOption.getOrElse(0)
-    }.max
-    assert(longest >= 4, s"longest mined itemset has $longest items")
-  }
-
-  test("matches Spark MLlib's FPGrowth on randomized inputs") {
-    val rnd = new scala.util.Random(2024)
-    (1 to 5).foreach { rep =>
-      val alphabet = ('a' to ('a' + 2 + rnd.nextInt(6)).toChar).map(_.toString)
-      val tx: Seq[Seq[String]] = Seq.fill(5 + rnd.nextInt(40)) {
-        rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
-      }
-      val minSup = 0.2 + rnd.nextDouble() * 0.5
-      val ours = FPGrowth.mineLocal(tx, minSup)
-      val theirs = MLlibFPGrowth.mine(tx.toDS(), minSup)
-      assert(Itemsets.diff(ours, theirs).isEmpty, s"rep $rep minSup $minSup")
+      val longest = Seeds.map { seed =>
+        val (tx, s) = random(seed)
+        val got = mine(spark, tx, s)
+        val d = Itemsets.diff(got, BruteForce.mine(tx, s))
+        assert(d.isEmpty, s"seed $seed minSupport $s: ${d.take(5)}")
+        got.map(_.items.size).maxOption.getOrElse(0)
+      }.max
+      assert(longest >= 4, s"longest mined itemset has $longest items")
     }
   }
+
+  Rejections.foreach { case (name, tx, s, message) =>
+    test(s"$name rejects ${tx.size} transactions at minSupport $s with \"$message\"") {
+      val e = intercept[IllegalArgumentException](Miners.toMap.apply(name)(spark, tx, s))
+      assert(e.getMessage.contains(message), e.getMessage)
+    }
+  }
+}
+
+object FPGrowthSpec {
+
+  /** Five transactions over a, b and c. */
+  val small: Seq[Seq[String]] = Seq(Seq("a", "b", "c"), Seq("a", "b"), Seq("b", "c"), Seq("a", "c"), Seq("a"))
+
+  /** The seeds of the sets every miner is checked on. */
+  val Seeds: Seq[Long] = 1L to 30L
+
+  /** 1–60 transactions over an alphabet of 2–12 items, some items listed
+    * twice in a transaction, and a support in [0.05, 0.9).
+    */
+  def random(seed: Long): (Seq[Seq[String]], Double) = {
+    val rnd = new Random(seed)
+    val alphabet = ('a' to ('a' + 1 + rnd.nextInt(11)).toChar).map(_.toString)
+    val tx = Seq.fill(1 + rnd.nextInt(60)) {
+      val t = rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1))
+      t ++ t.take(rnd.nextInt(3))
+    }
+    (tx, 0.05 + rnd.nextDouble() * 0.85)
+  }
+
+  /** Mines `transactions` at `minSupport`, on the test run's SparkSession. */
+  type Miner = (SparkSession, Seq[Seq[String]], Double) => Seq[FreqItemset]
+
+  private def ds(spark: SparkSession, tx: Seq[Seq[String]]) = { import spark.implicits._; tx.toDS() }
+
+  /** Every miner must give `BruteForce.mine`'s itemsets and counts. */
+  val Miners: Seq[(String, Miner)] = Seq(
+    ("FPGrowth.mineLocal", (_, tx, s) => FPGrowth.mineLocal(tx, s)),
+    ("MLlibFPGrowth.mine", (spark, tx, s) => MLlibFPGrowth.mine(ds(spark, tx), s)),
+    ("Apriori.mine", (spark, tx, s) => Apriori.mine(ds(spark, tx), s)),
+  )
+
+  /** (miner, transactions, minSupport, message): the miner rejects them with that message. */
+  val Rejections: Seq[(String, Seq[Seq[String]], Double, String)] = Seq(
+    ("FPGrowth.mineLocal", small, 0.0, "minSupport 0.0 outside (0,1]"),
+    ("FPGrowth.mineLocal", small, -0.1, "minSupport -0.1 outside (0,1]"),
+    ("FPGrowth.mineLocal", small, 1.5, "minSupport 1.5 outside (0,1]"),
+    ("FPGrowth.mineLocal", Nil, 0.5, "cannot mine an empty transaction set"),
+    ("Apriori.mine", small, 0.0, "minSupport 0.0 outside (0,1]"),
+    ("Apriori.mine", small, 1.0001, "minSupport 1.0001 outside (0,1]"),
+  )
 }

@@ -3,18 +3,13 @@ package repro.fpm
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Property checks for maximal-itemset extraction over randomized mined
-  * outputs (mined with the locally brute-force-validated miner).
+  * outputs (`FPGrowthSpec.random`'s sets, mined with the locally
+  * brute-force-validated miner).
   */
 class MaximalPropertySpec extends AnyFunSuite {
 
-  private def randomMined(seed: Long): Seq[FreqItemset] = {
-    val rnd = new scala.util.Random(seed)
-    val alphabet = ('a' to ('a' + 2 + rnd.nextInt(5)).toChar).map(_.toString)
-    val tx: Seq[Seq[String]] = Seq.fill(5 + rnd.nextInt(40)) {
-      rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1)).toSeq
-    }
-    FPGrowth.mineLocal(tx, 0.15 + rnd.nextDouble() * 0.4)
-  }
+  private def randomMined(seed: Long): Seq[FreqItemset] =
+    (FPGrowth.mineLocal _).tupled(FPGrowthSpec.random(seed))
 
   test("maximal itemsets have no frequent strict superset (definition)") {
     (1 to 20).foreach { seed =>

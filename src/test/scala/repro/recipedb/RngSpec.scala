@@ -1,14 +1,10 @@
 package repro.recipedb
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop}
+import repro.Laws
 
 class RngSpec extends AnyFunSuite {
-
-  private def check(p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), p)
-    assert(res.passed, res.status.toString)
-  }
 
   test("mix64 is deterministic") {
     assert(Rng.mix64(42L) == Rng.mix64(42L))
@@ -28,16 +24,16 @@ class RngSpec extends AnyFunSuite {
   }
 
   test("uniform is in [0, 1)") {
-    check(Prop.forAll(Gen.long, Gen.long, Gen.long) { (s, r, i) =>
+    Laws.check(Prop.forAll(Gen.long, Gen.long, Gen.long) { (s, r, i) =>
       val u = Rng.uniform(s, r, i)
       u >= 0.0 && u < 1.0
-    })
+    }, 200)
   }
 
   test("uniform is deterministic") {
-    check(Prop.forAll(Gen.long, Gen.long, Gen.long) { (s, r, i) =>
+    Laws.check(Prop.forAll(Gen.long, Gen.long, Gen.long) { (s, r, i) =>
       Rng.uniform(s, r, i) == Rng.uniform(s, r, i)
-    })
+    }, 200)
   }
 
   test("uniform mean is ~0.5 over many draws") {
@@ -65,10 +61,10 @@ class RngSpec extends AnyFunSuite {
   }
 
   test("uniformInt respects [0, n) bounds") {
-    check(Prop.forAll(Gen.long, Gen.long, Gen.choose(1, 1000)) { (s, r, n) =>
+    Laws.check(Prop.forAll(Gen.long, Gen.long, Gen.choose(1, 1000)) { (s, r, n) =>
       val v = Rng.uniformInt(s, r, 5, n)
       v >= 0 && v < n
-    })
+    }, 200)
   }
 
   test("uniformInt rejects non-positive n") {
