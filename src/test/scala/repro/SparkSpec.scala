@@ -4,6 +4,7 @@ import java.util.concurrent.{CountDownLatch, TimeUnit}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
+import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
@@ -15,8 +16,13 @@ import scala.collection.mutable
   * SPARK_DRIVER_MEM if it is set, else half of the machine's memory
   * (``MemTotal`` in /proc/meminfo) clamped to 2–8 GB.
   */
-trait SparkSpec extends AnyFunSuite {
+trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Starts the shared session before the suite's first test, so that no
+    * test's duration in the log carries the session's start-up.
+    */
+  override def beforeAll(): Unit = { super.beforeAll(); val _ = spark }
 
   /** Runs `body` and returns its result with what Spark did for it on this
     * thread. The work is tagged with a job tag, which Spark copies into the

@@ -13,10 +13,12 @@ import repro.recipedb.RecipeGen
   * median [q1, q3] of its Apriori/MLlib and mineIds/MLlib time ratios is
   * printed too: load that slows a whole repetition cancels out of a ratio,
   * which makes the ratios, not the seconds, comparable between runs made at
-  * different times. `FPGrowth.mineIds`, the in-memory FP-Growth the
-  * pipeline runs per cuisine, is timed alongside on the same transactions,
-  * collected to the driver and interned to Int ids once, untimed, as the
-  * cuisine pass interns them in its read; it must agree too.
+  * different times. MLlib mines the cached Dataset; Apriori and
+  * `FPGrowth.mineIds`, the in-memory FP-Growth the pipeline runs per
+  * cuisine, run in this JVM on the same transactions collected to the
+  * driver once, untimed. `mineIds` reads them interned to Int ids, also
+  * untimed, as the cuisine pass interns them in its read; both must agree
+  * with MLlib.
   *
   * The paper picked FP-Growth for being "an efficient and scalable method";
   * this bench substantiates that choice on our data.
@@ -60,16 +62,16 @@ object MiningPerfBench {
       val recipes = RecipeGen.recipes(spark, sf)
       val transactions = recipes.filter(recipes("cuisine") === "Italian")
         .select("items").as[Seq[String]].cache()
-      val local = transactions.collect()
+      val local = transactions.collect().toSeq
       val names = local.iterator.flatten.distinct.toArray
       val idOf = names.zipWithIndex.toMap
-      val ids = local.map(_.map(idOf).toArray)
+      val ids = local.map(_.map(idOf).toArray).toArray
       println(s"\n=== Mining baseline comparison (Italian cuisine, SF=$sf, median [q1, q3] of $reps after warm-up) ===")
       println(f"${"support"}%8s ${"mllib-pfp(s)"}%28s ${"apriori(s)"}%28s ${"mineIds(s)"}%28s ${"#itemsets"}%10s")
       val ratioRows = Seq(0.4, 0.3, 0.2).map { s =>
         val miners = IndexedSeq(
           () => time(MLlibFPGrowth.mine(transactions, s)),
-          () => time(Apriori.mine(transactions, s)),
+          () => time(Apriori.mine(local, s)),
           () => time(FPGrowth.mineIds(ids, names, s)),
         )
         miners.foreach(_()) // warm-up, untimed

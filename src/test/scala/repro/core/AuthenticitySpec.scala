@@ -6,7 +6,7 @@ import repro.recipedb.RecipeGen
 
 class AuthenticitySpec extends SparkSpec {
 
-  import AuthenticitySpec.{Counts, assertCountsMatchDuckDb, countsOf, itemCounts, tinyCounts}
+  import AuthenticitySpec.{Counts, countsOf, cuisineCounts, tinyCounts}
   import spark.implicits._
 
   private lazy val tiny = AuthenticitySpec.tiny(spark)
@@ -44,39 +44,18 @@ class AuthenticitySpec extends SparkSpec {
       (i, ii) <- fp.items.zipWithIndex
     } yield (c, i) -> fp.matrix(ci)(ii)).toMap
 
-  test("fingerprints densify items a cuisine never uses (B/y)") {
-    assert(itemCounts(tiny) == tinyCounts)
-    val rel = cells(Authenticity.fingerprints(spark, tiny))
-    assert(rel.size == 6)
-    // P_B(y) = 0 is filled in although no (B, y) count exists.
-    assert(math.abs(rel(("B", "y")) - (0.0 - 2.0 / 4)) < 1e-12)
-    assert(math.abs(rel(("A", "y")) - (2.0 / 4 - 0.0)) < 1e-12)
-  }
-
-  test("relative prevalence on the tiny example (K=2: p - other cuisine's P)") {
-    val rel = cells(Authenticity.fingerprints(spark, tiny))
-    val pA = Map("x" -> 3.0 / 4, "y" -> 2.0 / 4, "z" -> 1.0 / 4)
-    val pB = Map("x" -> 1.0 / 2, "y" -> 0.0, "z" -> 1.0 / 2)
-    Seq("x", "y", "z").foreach { i =>
-      assert(math.abs(rel(("A", i)) - (pA(i) - pB(i))) < 1e-12, s"A/$i")
-      assert(math.abs(rel(("B", i)) - (pB(i) - pA(i))) < 1e-12, s"B/$i")
+  test("fingerprints build a dense, deterministically ordered matrix") {
+    // From the hand counts, with no Spark job. P_B(y) = 0 is filled in
+    // although no (B, y) count exists.
+    val fp = Authenticity.fromCounts(tinyCounts.map(cuisineCounts))
+    assert(fp.cuisines == IndexedSeq("A", "B") && fp.items == IndexedSeq("x", "y", "z"))
+    assert(fp.matrix.length == 2 && fp.matrix.forall(_.length == 3))
+    val pA = Seq(3.0 / 4, 2.0 / 4, 1.0 / 4)
+    val pB = Seq(1.0 / 2, 0.0, 1.0 / 2)
+    for (j <- 0 until 3) { // K = 2: p is P minus the other cuisine's P
+      assert(math.abs(fp.matrix(0)(j) - (pA(j) - pB(j))) < 1e-12, s"A/${fp.items(j)}")
+      assert(math.abs(fp.matrix(1)(j) - (pB(j) - pA(j))) < 1e-12, s"B/${fp.items(j)}")
     }
-  }
-
-  test("item counts are oracle-checked against DuckDB on generated data") {
-    assertCountsMatchDuckDb(itemCounts(gen), gen)
-  }
-
-  test("item counts count a recipe once however often it lists an item") {
-    val dup = Seq((0L, "A", Seq("x", "x", "y")), (1L, "A", Seq("x"))).toDF("id", "cuisine", "ingredients")
-    assert(itemCounts(dup) ==
-      Seq(Counts("A", 2L, Map("x" -> 2L, "y" -> 1L))))
-  }
-
-  test("item counts count an empty item array as a recipe with no items") {
-    val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "ingredients")
-    assert(itemCounts(df) ==
-      Seq(Counts("Greek", 2L, Map("x" -> 1L))))
   }
 
   test("item counts drop the names no ingredient array holds") {
@@ -114,21 +93,6 @@ class AuthenticitySpec extends SparkSpec {
     intercept[IllegalArgumentException](Authenticity.fingerprints(spark, one))
   }
 
-  test("fingerprints build a dense, deterministically ordered matrix") {
-    val fp = Authenticity.fingerprints(spark, tiny)
-    assert(fp.cuisines == IndexedSeq("A", "B"))
-    assert(fp.items == IndexedSeq("x", "y", "z"))
-    assert(fp.matrix.length == 2 && fp.matrix.head.length == 3)
-    assert(math.abs(fp.matrix(0)(0) - 0.25) < 1e-12) // A/x
-    assert(math.abs(fp.matrix(1)(0) + 0.25) < 1e-12) // B/x
-  }
-
-  test("fingerprints on generated data have one row per cuisine") {
-    val fp = Authenticity.fingerprints(spark, gen)
-    assert(fp.cuisines.size == 26)
-    assert(fp.matrix.forall(_.length == fp.items.size))
-  }
-
   test("authenticity separates distinctive items: soy sauce marks East Asia") {
     val fp = Authenticity.fingerprints(spark, gen)
     val soyIdx = fp.items.indexOf("soy sauce")
@@ -158,6 +122,10 @@ object AuthenticitySpec {
 
   def countsOf(c: Authenticity.CuisineCounts): Counts =
     Counts(c.cuisine, c.nRecipes, c.items.zip(c.withItem.map(_.toLong)).toMap)
+
+  /** `countsOf`'s inverse: what `Authenticity.fromCounts` reads. */
+  def cuisineCounts(c: Counts): Authenticity.CuisineCounts =
+    Authenticity.CuisineCounts(c.cuisine, c.nRecipes, c.withItem.keys.toArray, c.withItem.values.map(_.toInt).toArray)
 
   /** `counts` against N_c and n_i^c of the `ingredients` of `recipes` in DuckDB. */
   def assertCountsMatchDuckDb(counts: Seq[Counts], recipes: DataFrame): Unit = {

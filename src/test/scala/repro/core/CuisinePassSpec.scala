@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.spark_partition_id
-import org.scalatest.BeforeAndAfterAll
 import repro.SparkSpec
 import repro.fpm.{FPGrowth, FreqItemset}
 import repro.geo.Regions
@@ -16,8 +15,8 @@ import scala.jdk.CollectionConverters._
   * layout clustered on `cuisine` without a shuffle, and rejects null input
   * naming the column. Each row of each table below is one test.
   */
-class CuisinePassSpec extends SparkSpec with BeforeAndAfterAll {
-  import AuthenticitySpec.{Counts, itemCounts}
+class CuisinePassSpec extends SparkSpec {
+  import AuthenticitySpec.{Counts, cuisineCounts, itemCounts}
   import spark.implicits._
 
   /** The entry points and the columns each needs (`CuisinePass` reads every array column). */
@@ -40,8 +39,7 @@ class CuisinePassSpec extends SparkSpec with BeforeAndAfterAll {
     AuthenticitySpec.assertCountsMatchDuckDb(counts, recipes)
     lazy val patterns = counts.map(c => // `items` is the last column
       (c.cuisine, c.nRecipes, itemsets(FPGrowth.mineLocal(rows(c.cuisine).map(_.last), PatternMiner.PaperMinSupport))))
-    lazy val fingerprints = Authenticity.fromCounts(counts.map(c =>
-      Authenticity.CuisineCounts(c.cuisine, c.nRecipes, c.withItem.keys.toArray, c.withItem.values.map(_.toInt).toArray)))
+    lazy val fingerprints = Authenticity.fromCounts(counts.map(cuisineCounts))
     lazy val (newick, geoSimilarity) = { val r = Pipeline.run(spark, recipes); (newickOf(r), r.geoSimilarity) }
   }
 
@@ -86,9 +84,10 @@ class CuisinePassSpec extends SparkSpec with BeforeAndAfterAll {
 
   /** Cached recipes of `cuisines` whose item names are multi-byte UTF-8,
     * with 300 distinct rare items of one byte length, frequent items of equal
-    * byte length ("辣椒" and "crème" are both 6 bytes) and one recipe that
-    * lists an item twice in both columns. The cuisines' rows alternate, and
-    * one row is long enough to make a reader's reused row buffer grow.
+    * byte length ("辣椒" and "crème" are both 6 bytes), one recipe that
+    * lists an item twice in both columns and one whose columns are both
+    * empty. The cuisines' rows alternate, and one row is long enough to make
+    * a reader's reused row buffer grow.
     */
   private def utf8Recipes(cuisines: Seq[String]): DataFrame = {
     val rng = new scala.util.Random(16)
@@ -100,7 +99,8 @@ class CuisinePassSpec extends SparkSpec with BeforeAndAfterAll {
       val items = ingredients ++ Seq("mijoter", "炒").filter(_ => rng.nextDouble() < 0.5)
       Recipe(c * 1000L + r, cuisine, ingredients, items)
     }
-    (recipes :+ Recipe(-1L, cuisines(1), Seq("辣椒", "sel", "辣椒"), Seq("辣椒", "sel", "辣椒", "炒"))).toDF()
+    (recipes :+ Recipe(-1L, cuisines(1), Seq("辣椒", "sel", "辣椒"), Seq("辣椒", "sel", "辣椒", "炒")) :+
+      Recipe(-2L, cuisines(2), Seq.empty, Seq.empty)).toDF()
   }
 
   private val gen = "RecipeGen SF 0.02"
@@ -129,8 +129,9 @@ class CuisinePassSpec extends SparkSpec with BeforeAndAfterAll {
         assert(lay(ref.recipes).select($"cuisine", spark_partition_id()).distinct().groupBy("cuisine").count()
           .as[(String, Long)].collect().exists(_._2 > 1))
       if (dataset == "tiny") assert(ref.counts == AuthenticitySpec.tinyCounts)
-      if (dataset.startsWith("multi-byte")) { // long multi-byte patterns, and the rare items counted
+      if (dataset.startsWith("multi-byte")) { // long multi-byte patterns, the rare items counted, an empty recipe
         assert(ref.patterns.forall(_._3.exists { case (items, _) => items.size >= 3 && items("辣椒") }))
+        assert(ref.rows.values.flatten.exists(_.forall(_.isEmpty)))
         assert(ref.counts.map(_.withItem.size).sum > 3 * 200, ref.counts.map(_.withItem.size))
       }
       for ((entry, columns) <- entryPoints if columns.forall(ref.columns.contains)) {

@@ -2,8 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.fpm.{FreqItemset, Itemsets, MLlibFPGrowth}
-import repro.recipedb.{CuisineSpecs, RecipeGen}
+import repro.fpm.{Itemsets, MLlibFPGrowth}
+import repro.recipedb.RecipeGen
 
 class PatternMinerSpec extends SparkSpec {
 
@@ -11,16 +11,6 @@ class PatternMinerSpec extends SparkSpec {
 
   private lazy val recipes = RecipeGen.recipes(spark, 0.01).cache()
   private lazy val mined = PatternMiner.minePerCuisine(recipes)
-
-  test("one result per cuisine, sorted by cuisine name") {
-    assert(mined.map(_.cuisine) == CuisineSpecs.all.map(_.name).sorted)
-  }
-
-  test("nRecipes per cuisine matches the generator") {
-    mined.foreach { cp =>
-      assert(cp.nRecipes == CuisineSpecs.byName(cp.cuisine).nAt(0.01), cp.cuisine)
-    }
-  }
 
   test("per-cuisine mining equals MLlib FP-Growth on every cuisine") {
     // The program mines with FPGrowth.mineIds; the independent oracle is
@@ -33,14 +23,8 @@ class PatternMinerSpec extends SparkSpec {
       val d = Itemsets.diff(cp.itemsets, MLlibFPGrowth.mine(tx, PatternMiner.PaperMinSupport))
       assert(d.isEmpty, s"$c: ${d.take(5)}")
       assert(cp.nRecipes == tx.count(), c)
+      cp.itemsets.foreach(fi => assert(fi.support >= 0.2 - 1e-12, s"$c $fi"))
     }
-  }
-
-  test("an empty item array is mined as a recipe with no items") {
-    val df = Seq(("Greek", Seq("x")), ("Greek", Seq.empty[String])).toDF("cuisine", "items")
-    val Seq(cp) = PatternMiner.minePerCuisine(df, minSupport = 0.5)
-    assert(cp.nRecipes == 2L)
-    assert(cp.itemsets == Seq(FreqItemset(Seq("x"), 1L, 0.5)))
   }
 
   test("singleton pattern supports are oracle-checked against DuckDB") {
@@ -59,12 +43,6 @@ class PatternMinerSpec extends SparkSpec {
     )
     val oracleSingles = got.collect().map(r => r.getString(0) -> r.getLong(1)).toMap
     assert(singles.map(fi => fi.items.head -> fi.freq).toMap == oracleSingles)
-  }
-
-  test("all mined supports meet the threshold") {
-    mined.foreach { cp =>
-      cp.itemsets.foreach(fi => assert(fi.support >= 0.2 - 1e-12, s"${cp.cuisine} $fi"))
-    }
   }
 
   test("a custom support threshold is honoured") {

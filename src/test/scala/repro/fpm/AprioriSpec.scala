@@ -1,10 +1,8 @@
 package repro.fpm
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class AprioriSpec extends SparkSpec {
-
-  import spark.implicits._
+class AprioriSpec extends AnyFunSuite {
 
   test("handles multi-word item names") {
     val tx = Seq(
@@ -12,7 +10,7 @@ class AprioriSpec extends SparkSpec {
       Seq("soy sauce", "sesame oil"),
       Seq("soy sauce"),
     )
-    val got = Apriori.mine(tx.toDS(), 0.5)
+    val got = Apriori.mine(tx, 0.5)
     val pair = got.find(_.items.size == 2).get
     assert(pair.items == Seq("sesame oil", "soy sauce"))
     assert(pair.freq == 2L)

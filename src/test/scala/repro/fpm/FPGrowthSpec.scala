@@ -195,7 +195,7 @@ object FPGrowthSpec {
   val Miners: Seq[(String, Miner)] = Seq(
     ("FPGrowth.mineLocal", (_, tx, s) => FPGrowth.mineLocal(tx, s)),
     ("MLlibFPGrowth.mine", (spark, tx, s) => MLlibFPGrowth.mine(ds(spark, tx), s)),
-    ("Apriori.mine", (spark, tx, s) => Apriori.mine(ds(spark, tx), s)),
+    ("Apriori.mine", (_, tx, s) => Apriori.mine(tx, s)),
   )
 
   /** (miner, transactions, minSupport, message): the miner rejects them with that message. */

@@ -79,15 +79,15 @@ class JobsSpec extends SparkSpec {
     recipes.filter(recipes("cuisine").isin("Italian", "US", "Indian Subcontinent"))
   }
 
+  private lazy val threeRes = Pipeline.run(spark, three)
+
   test("ReproJob.renderTrees heads the Fowlkes–Mallows table with the cuts the comparison used") {
-    val res = Pipeline.run(spark, three)
-    assert(ReproJob.renderTrees(res).contains("== Mean Fowlkes–Mallows similarity vs geography tree (k=2..2) =="))
+    assert(ReproJob.renderTrees(threeRes).contains("== Mean Fowlkes–Mallows similarity vs geography tree (k=2..2) =="))
   }
 
   test("ReproJob.render of a three-cuisine run renders Fig 1 for k = 1..3") {
-    val res = Pipeline.run(spark, three)
-    assert(res.wcss.map(_._1) == (1 to 3))
-    assert(ReproJob.render(res).contains(ReproJob.renderElbow(KMeans.elbow(res.features.matrix, 1 to 3))))
+    assert(threeRes.wcss.map(_._1) == (1 to 3))
+    assert(ReproJob.render(threeRes).contains(ReproJob.renderElbow(KMeans.elbow(threeRes.features.matrix, 1 to 3))))
   }
 
   test("ReproJob.renderTrees omits the Fowlkes–Mallows section without a geography tree") {
