@@ -33,7 +33,7 @@ object TableIJob {
           .mkString("; ")
         spec.namedPatterns.map { np =>
           Row(spec.name, mined.nRecipes, np.label, np.paperSupport,
-            mined.itemsets.collectFirst { case fi if fi.items.toSet == np.items => fi.support },
+            mined.itemsets.collectFirst { case fi if fi.items.forall(np.items) && fi.items.toSet == np.items => fi.support },
             spec.paperPatternCount,
             mined.nPatterns, top)
         }

@@ -17,24 +17,44 @@ object KMeans {
   private val Runs = 8
   private val Seed = 7L
 
-  /** Squared distance of each row i to the mean μ of the rows S:
+  /** Squared distance of every row i to the mean μ of the rows S, by row:
     * ‖x_i − μ‖² = (|S|²·G_ii − 2|S|·Σ_{j∈S} G_ij + Σ_{j,l∈S} G_jl) / |S|².
+    * Each row sum s_i = Σ_{j∈S} G_ij is added left to right in `rows` order,
+    * and Σ_{j,l∈S} G_jl is the sum of s_j over S in the same order.
     * On binary rows the numerator is an exact integer, so two equal distances
     * compare equal and a tie goes to the lower centre index.
     */
-  private def sqDistTo(g: Array[Array[Double]], rows: Array[Int]): Int => Double = {
+  private def sqDistTo(g: Array[Array[Double]], rows: Array[Int]): Array[Double] = {
+    val n = g.length
+    val s = new Array[Double](n)
+    var i = 0
+    while (i < n) {
+      val gi = g(i)
+      var acc = gi(rows(0))
+      var j = 1
+      while (j < rows.length) { acc += gi(rows(j)); j += 1 }
+      s(i) = acc
+      i += 1
+    }
+    var self = s(rows(0))
+    var j = 1
+    while (j < rows.length) { self += s(rows(j)); j += 1 }
     val m = rows.length.toDouble
-    val self = rows.map(j => rows.map(g(j)(_)).sum).sum
-    i => (m * m * g(i)(i) - 2 * m * rows.map(g(i)(_)).sum + self) / (m * m)
+    i = 0
+    while (i < n) {
+      s(i) = (m * m * g(i)(i) - 2 * m * s(i) + self) / (m * m)
+      i += 1
+    }
+    s
   }
 
   private def wcssOnce(g: Array[Array[Double]], k: Int, seed: Long): Double = {
     val n = g.length
     val rnd = new Random(seed)
     // k-means++ seeding (Arthur & Vassilvitskii 2007)
-    val centres = new Array[Int => Double](k)
+    val centres = new Array[Array[Double]](k)
     centres(0) = sqDistTo(g, Array(rnd.nextInt(n)))
-    val d2 = Array.tabulate(n)(centres(0))
+    val d2 = centres(0).clone()
     for (c <- 1 until k) {
       val totalW = d2.sum
       val chosen =

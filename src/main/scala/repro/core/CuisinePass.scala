@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.plans.physical.ClusteredDistribution
 import org.apache.spark.sql.functions.col
 import org.apache.spark.unsafe.types.UTF8String
@@ -20,6 +22,15 @@ import scala.collection.mutable
   * encode nothing. A DataFrame should therefore be cached, and the cache
   * filled (say by `count()`), before its first pass: one that is passed over
   * before it is cached keeps its uncached lineage (same results, slower).
+  *
+  * The pass submits its job with `SparkContext.runJob` and a
+  * `(TaskContext, Iterator)` function, not with `mapPartitions(…).collect()`.
+  * Spark's `ClosureCleaner` reads and parses the bytecode of the class that
+  * declares each function it cleans, on every job. `collect` cleans a function
+  * declared in `RDD`, and `runJob` with an `Iterator` function wraps it in one
+  * declared in `SparkContext`, so either parses a large class per pass. The
+  * `(TaskContext, Iterator)` overload cleans only the pass's own function,
+  * which is declared here, in a small class, for that reason.
   *
   * Grouping inside partitions is complete only if each cuisine's rows sit in
   * one partition. Recipes whose planned layout is clustered on `cuisine`, as
@@ -45,7 +56,8 @@ private[core] object CuisinePass {
     val input = if (clustered) recipes else recipes.repartition(col("cuisine"))
     val cuisineAt = input.schema.fieldIndex("cuisine")
     val arrayAt = columns.map(input.schema.fieldIndex).toIndexedSeq
-    input.queryExecution.toRdd.mapPartitions { rows =>
+    val rdd = input.queryExecution.toRdd
+    rdd.sparkContext.runJob(rdd, (_: TaskContext, rows: Iterator[InternalRow]) => {
       final class Cuisine(val name: String) {
         val idOf = mutable.HashMap.empty[UTF8String, Int]
         val names = mutable.ArrayBuffer.empty[String]
@@ -71,7 +83,7 @@ private[core] object CuisinePass {
           c.arrays(j) += ids
         }
       }
-      byCuisine.valuesIterator.map(c => c.name -> perCuisine(c.name, c.names.toArray, c.arrays.map(_.result())))
-    }.collect().sortBy(_._1).toSeq.map(_._2)
+      byCuisine.valuesIterator.map(c => c.name -> perCuisine(c.name, c.names.toArray, c.arrays.map(_.result()))).toArray
+    }, rdd.partitions.indices).flatten.sortBy(_._1).toSeq.map(_._2)
   }
 }

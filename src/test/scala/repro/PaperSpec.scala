@@ -1,5 +1,7 @@
 package repro
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.{Files, Paths}
 import repro.cluster.TreeCorrelation
 import repro.core.Pipeline
 import repro.geo.Regions
@@ -22,6 +24,22 @@ class PaperSpec extends SparkSpec {
     println(s"\n=== Paper reproduction (SF=1) ===\n${ReproJob.render(res)}")
     assert(res.cuisines.size == 26)
     assert(rows.map(_.cuisine).distinct.size == 26)
+  }
+
+  test("SF=1: the render equals the checked-in golden file byte for byte") {
+    val golden = getClass.getResourceAsStream(s"/${PaperSpec.GoldenName}")
+    assert(golden != null, s"${PaperSpec.GoldenName} is not on the test classpath")
+    val want = try golden.readAllBytes() finally golden.close()
+    val got = ReproJob.render(res).getBytes(UTF_8)
+    if (!java.util.Arrays.equals(got, want)) {
+      val (g, w) = (new String(got, UTF_8).split("\n", -1), new String(want, UTF_8).split("\n", -1))
+      val first = g.indices.find(i => i >= w.length || g(i) != w(i)).getOrElse(g.length)
+      val shown = (first until math.min(first + 5, math.max(g.length, w.length))).map { i =>
+        s"line ${i + 1}:\n  golden: ${w.lift(i).getOrElse("<end of file>")}\n  render: ${g.lift(i).getOrElse("<end of file>")}"
+      }
+      fail(s"render differs from ${PaperSpec.GoldenName} (${got.length} vs ${want.length} bytes); " +
+        s"first differing lines:\n${shown.mkString("\n")}")
+    }
   }
 
   test("on uncached data the only shuffle is RecipeGen's own exchange") {
@@ -139,6 +157,25 @@ class PaperSpec extends SparkSpec {
 }
 
 object PaperSpec {
+
+  /** The test resource that holds `ReproJob.render` of this suite's SF=1,
+    * seed-42 reproduction.
+    */
+  val GoldenName = "reprojob-sf1-seed42.txt"
+
+  /** Rewrites the golden file from a fresh SF=1, seed-42 reproduction. It is
+    * run only by hand, from the repository root, when a change is meant to
+    * alter the printed output: `sbt "Test/runMain repro.PaperSpec"`.
+    */
+  def main(args: Array[String]): Unit = {
+    val spark = SparkSpec.shared
+    try {
+      val out = Paths.get("src", "test", "resources", GoldenName)
+      Files.createDirectories(out.getParent)
+      Files.write(out, ReproJob.render(Pipeline.run(spark, RecipeGen.recipes(spark, 1.0))).getBytes(UTF_8))
+      println(s"wrote $out")
+    } finally spark.stop()
+  }
 
   /** §VII: in `tree`, `cuisine` is cophenetically nearer to `nearer` than to `farther`. */
   val Claims: Seq[(String, String, String, String)] = Seq(

@@ -1,6 +1,10 @@
 package repro.cluster
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Laws
+import repro.perfbench.Reference
 
 class KMeansSpec extends AnyFunSuite {
 
@@ -61,6 +65,26 @@ class KMeansSpec extends AnyFunSuite {
   test("duplicate points do not crash (empty-cluster reseeding)") {
     val x = Array.fill(10)(Array(1.0, 1.0))
     assert(math.abs(KMeans.elbow(x, Seq(3)).head._2) < 1e-12)
+  }
+
+  test("elbow equals the benchmark's coordinate k-means on real-valued rows") {
+    // Reference.elbow runs the same seeded restarts on the coordinates, not
+    // on the Gram matrix, and shares no code with KMeans. Its tolerance is
+    // the benchmark's own: 1e-9 relative, absolute below 1.
+    val gen = for {
+      n <- Gen.choose(3, 30)
+      d <- Gen.choose(1, 40)
+      x <- Gen.listOfN(n, Gen.listOfN(d, Gen.choose(-10.0, 10.0)).map(_.toArray))
+    } yield x.toArray
+    Laws.check(Prop.forAllNoShrink(gen) { x =>
+      val ks = 1 to math.min(10, x.length)
+      val (got, want) = (KMeans.elbow(x, ks), Reference.elbow(x, ks))
+      val off = got.zip(want).collect {
+        case ((k, g), (_, w)) if !(math.abs(g - w) <= 1e-9 * math.max(1.0, math.abs(w))) => (k, g, w)
+      }
+      (got.map(_._1) == ks && off.isEmpty) :|
+        s"${x.length} x ${x.head.length} rows; (k, KMeans, Reference) apart: ${off.mkString(", ")}"
+    }, 100)
   }
 
   test("scaling every row by 2 scales every WCSS by exactly 4") {

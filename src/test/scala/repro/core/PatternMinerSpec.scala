@@ -4,6 +4,9 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.fpm.{Itemsets, MLlibFPGrowth}
 import repro.recipedb.RecipeGen
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 
 class PatternMinerSpec extends SparkSpec {
 
@@ -15,14 +18,21 @@ class PatternMinerSpec extends SparkSpec {
   test("per-cuisine mining equals MLlib FP-Growth on every cuisine") {
     // The program mines with FPGrowth.mineIds; the independent oracle is
     // MLlib's distributed PFP, which shares no code with it. BruteForce
-    // would blow up on ~23 frequent items per transaction.
+    // would blow up on ~23 frequent items per transaction. The 26 fits are
+    // small Spark jobs, so they run concurrently on the shared session; each
+    // cuisine's comparison is then checked in cuisine order.
     val cuisines = recipes.select("cuisine").distinct().as[String].collect().sorted
     assert(mined.map(_.cuisine) == cuisines.toSeq)
-    cuisines.zip(mined).foreach { case (c, cp) =>
-      val tx = recipes.filter($"cuisine" === c).select("items").as[Seq[String]]
-      val d = Itemsets.diff(cp.itemsets, MLlibFPGrowth.mine(tx, PatternMiner.PaperMinSupport))
+    val oracle = Await.result(Future.traverse(cuisines.toSeq) { c =>
+      Future {
+        val tx = recipes.filter($"cuisine" === c).select("items").as[Seq[String]]
+        (MLlibFPGrowth.mine(tx, PatternMiner.PaperMinSupport), tx.count())
+      }
+    }, 10.minutes)
+    cuisines.lazyZip(mined).lazyZip(oracle).foreach { case (c, cp, (ref, n)) =>
+      val d = Itemsets.diff(cp.itemsets, ref)
       assert(d.isEmpty, s"$c: ${d.take(5)}")
-      assert(cp.nRecipes == tx.count(), c)
+      assert(cp.nRecipes == n, c)
       cp.itemsets.foreach(fi => assert(fi.support >= 0.2 - 1e-12, s"$c $fi"))
     }
   }

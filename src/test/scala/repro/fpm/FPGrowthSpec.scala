@@ -2,6 +2,9 @@ package repro.fpm
 
 import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 import scala.util.Random
 
 /** [[FPGrowth.mineLocal]] on hand-computed and edge-case inputs, and every
@@ -142,17 +145,17 @@ class FPGrowthSpec extends SparkSpec {
 
   Miners.foreach { case (name, mine) =>
     test(s"$name agrees with BruteForce on small at supports 0.2-0.8 and on ${Seeds.size} seeded sets") {
-      Seq(0.2, 0.4, 0.6, 0.8).foreach { s =>
-        val d = Itemsets.diff(mine(spark, small, s), BruteForce.mine(small, s))
-        assert(d.isEmpty, s"small at $s: ${d.take(5)}")
-      }
-      val longest = Seeds.map { seed =>
-        val (tx, s) = random(seed)
-        val got = mine(spark, tx, s)
+      // The 34 inputs are mined concurrently (MLlib's fits are small Spark
+      // jobs on the shared session) and checked one by one, in order.
+      val smallSupports = Seq(0.2, 0.4, 0.6, 0.8)
+      val inputs = smallSupports.map(s => (s"small at $s", small, s)) ++
+        Seeds.map { seed => val (tx, s) = random(seed); (s"seed $seed minSupport $s", tx, s) }
+      val mined = Await.result(Future.traverse(inputs) { case (_, tx, s) => Future(mine(spark, tx, s)) }, 10.minutes)
+      inputs.zip(mined).foreach { case ((input, tx, s), got) =>
         val d = Itemsets.diff(got, BruteForce.mine(tx, s))
-        assert(d.isEmpty, s"seed $seed minSupport $s: ${d.take(5)}")
-        got.map(_.items.size).maxOption.getOrElse(0)
-      }.max
+        assert(d.isEmpty, s"$input: ${d.take(5)}")
+      }
+      val longest = mined.drop(smallSupports.size).map(_.map(_.items.size).maxOption.getOrElse(0)).max
       assert(longest >= 4, s"longest mined itemset has $longest items")
     }
   }

@@ -54,6 +54,17 @@ class MaximalPropertySpec extends AnyFunSuite {
     }
   }
 
+  /** `Itemsets.maximal(list)` is `list` filtered, by set algebra, to the
+    * itemsets with no strict superset in it.
+    */
+  private def assertMaximalLaw(list: Seq[FreqItemset], seed: Long): Unit = {
+    val expected = list.filter { fi =>
+      val s = fi.items.toSet
+      !list.exists { o => val t = o.items.toSet; s.subsetOf(t) && !t.subsetOf(s) }
+    }
+    assert(Itemsets.maximal(list) == expected, s"seed $seed")
+  }
+
   test("maximal keeps exactly the listed itemsets with no strict superset in the list") {
     // Lists that are not downward closed and repeat sets, unlike mined output.
     val alphabet = ('a' to 'f').map(_.toString)
@@ -64,11 +75,27 @@ class MaximalPropertySpec extends AnyFunSuite {
         FreqItemset(items, 1L + rnd.nextInt(9), rnd.nextDouble())
       }
       val list = rnd.shuffle(distinct ++ distinct.filter(_ => rnd.nextBoolean()))
-      val expected = list.filter { fi =>
-        val s = fi.items.toSet
-        !list.exists { o => val t = o.items.toSet; s.subsetOf(t) && !t.subsetOf(s) }
+      assertMaximalLaw(list, seed)
+    }
+  }
+
+  test("maximal keeps exactly the listed itemsets with no strict superset, over 80 items") {
+    // More than 64 distinct items, so the masks span two words. Each set is
+    // drawn whole, or is an earlier set with up to three items taken out and
+    // up to two put in, so that strict subsets, and near misses that differ
+    // only in items of the second word, are common.
+    val alphabet = (0 until 80).map(i => f"i$i%02d")
+    (1 to 100).foreach { seed =>
+      val rnd = new scala.util.Random(seed)
+      val distinct = (0 until rnd.nextInt(30)).foldLeft(Vector.empty[FreqItemset]) { (acc, _) =>
+        val items =
+          if (acc.isEmpty || rnd.nextInt(3) == 0) rnd.shuffle(alphabet).take(rnd.nextInt(alphabet.size + 1))
+          else (rnd.shuffle(acc(rnd.nextInt(acc.size)).items).drop(rnd.nextInt(4)) ++
+            rnd.shuffle(alphabet).take(rnd.nextInt(3))).distinct
+        acc :+ FreqItemset(items, 1L + rnd.nextInt(9), rnd.nextDouble())
       }
-      assert(Itemsets.maximal(list) == expected, s"seed $seed")
+      val list = rnd.shuffle(distinct ++ distinct.filter(_ => rnd.nextBoolean()))
+      assertMaximalLaw(list, seed)
     }
   }
 }
