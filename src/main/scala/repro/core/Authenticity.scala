@@ -30,7 +30,7 @@ object Authenticity {
     * at least once; items no recipe contains are absent. Arrays, not a map of
     * boxed counts, so the pass ships fewer bytes.
     */
-  private[core] final case class CuisineCounts(cuisine: String, nRecipes: Long, items: Array[String], withItem: Array[Int])
+  final case class CuisineCounts(cuisine: String, nRecipes: Long, items: Array[String], withItem: Array[Int])
 
   /** One cuisine's counts, from its recipes' interned ingredient arrays. A
     * recipe counts once however often it lists an item. `names` may name

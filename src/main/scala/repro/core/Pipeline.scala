@@ -12,9 +12,9 @@ import scala.collection.immutable.ListMap
   *
   * Spark runs one [[CuisinePass]] per reproduction: it mines each cuisine's
   * `items` and counts its `ingredients`, both interned to the same Int ids,
-  * in one task. Everything after it runs on the driver. On cached RecipeGen
-  * data the pass is one Spark job with no shuffle, and Spark plans it only
-  * for a DataFrame's first reproduction.
+  * in one task. Everything after it runs on the driver, in [[assemble]]. On
+  * cached RecipeGen data the pass is one Spark job with no shuffle, and Spark
+  * plans it only for a DataFrame's first reproduction.
   */
 object Pipeline {
 
@@ -28,6 +28,7 @@ object Pipeline {
   final case class Results(
       cuisines: IndexedSeq[String],
       patterns: Seq[PatternMiner.CuisinePatterns],
+      counts: Seq[Authenticity.CuisineCounts], // the pass's N_c and n_i^c, in `patterns` order
       features: PatternFeatures.Features,
       trees: ListMap[String, Dendrogram], // Metrics, "authenticity", then "geo" if all cuisines have coordinates
       geoSimilarity: Map[String, Double], // mean Fowlkes–Mallows vs the geo tree; empty without one
@@ -65,9 +66,22 @@ object Pipeline {
       (PatternMiner.mine(cuisine, names, arrays(0), PatternMiner.PaperMinSupport),
         Authenticity.count(cuisine, names, arrays(1)))
     }.unzip
+    assemble(patterns, counts)
+  }
+
+  /** Everything `run` does after its pass, on the driver with no Spark job:
+    * features, fingerprints, the trees and the geography comparison.
+    * `patterns` and `counts` must name the same cuisines in the same order,
+    * which is the leaf order; `run` passes them sorted. Needs at least three
+    * cuisines. `assemble(res.patterns, res.counts)` rebuilds `res`, and a
+    * filter of both lists rebuilds the run of a subset of its cuisines.
+    */
+  def assemble(patterns: Seq[PatternMiner.CuisinePatterns], counts: Seq[Authenticity.CuisineCounts]): Results = {
     require(patterns.size >= 3,
       s"need at least three cuisines, got ${patterns.size}: the geography comparison " +
         "cuts the trees at k = 2..min(12, n - 1)")
+    require(patterns.map(_.cuisine) == counts.map(_.cuisine), "patterns and counts name different cuisines: " +
+      s"${patterns.map(_.cuisine).mkString("[", ", ", "]")} vs ${counts.map(_.cuisine).mkString("[", ", ", "]")}")
     val features = PatternFeatures.fromPatterns(patterns)
     val cuisines = features.cuisines
     val vectors = features.matrix.toSeq
@@ -84,6 +98,6 @@ object Pipeline {
       (trees - "geo").map { case (name, t) => name -> TreeCompare.meanFowlkesMallows(t, geo, ks) }
     }
 
-    Results(cuisines, patterns, features, trees, sims)
+    Results(cuisines, patterns, counts, features, trees, sims)
   }
 }

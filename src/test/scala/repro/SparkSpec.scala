@@ -23,6 +23,29 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     * test's duration in the log carries the session's start-up.
     */
   override def beforeAll(): Unit = { super.beforeAll(); val _ = spark }
+}
+
+object SparkSpec {
+
+  /** Spark jobs, stages that ran, stages among them that wrote shuffle
+    * output, their shuffle bytes, and SQL executions.
+    */
+  final case class Activity(jobs: Int, stages: Int, shuffles: Int,
+                            shuffleReadBytes: Long, shuffleWriteBytes: Long, sqlExecutions: Int)
+
+  lazy val shared: SparkSession = {
+    val s = SparkSession.builder()
+      .master(sys.props.getOrElse("spark.master", "local[*]"))
+      .appName("repro").getOrCreate()
+    // One line in test output that records the memory setting and the
+    // parallelism the run actually used.
+    Console.err.println(
+      s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"master=${s.sparkContext.master} " +
+      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+    )
+    s
+  }
 
   /** Runs `body` and returns its result with what Spark did for it on this
     * thread. The work is tagged with a job tag, which Spark copies into the
@@ -30,12 +53,12 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     * a marker job started afterwards tells when the listener bus has
     * delivered every counted event.
     */
-  def sparkActivityOf[A](body: => A): (A, SparkSpec.Activity) = {
-    val sc = spark.sparkContext
+  def sparkActivityOf[A](body: => A): (A, Activity) = {
+    val sc = shared.sparkContext
     val (bodyTag, markerTag) = ("repro-test-body", "repro-test-marker")
     val markerSeen = new CountDownLatch(1)
     // Written on the listener bus thread only; the latch publishes them.
-    var activity = SparkSpec.Activity(0, 0, 0, 0L, 0L, 0)
+    var activity = Activity(0, 0, 0, 0L, 0L, 0)
     val stageIds = mutable.Set.empty[Int]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = {
@@ -69,32 +92,9 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       // Listener events arrive in order: once the marker job is seen, every
       // event of `body` has been seen too.
       sc.addJobTag(markerTag)
-      try spark.range(1).count() finally sc.removeJobTag(markerTag)
+      try shared.range(1).count() finally sc.removeJobTag(markerTag)
       assert(markerSeen.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
       (out, activity)
     } finally sc.removeSparkListener(listener)
-  }
-}
-
-object SparkSpec {
-
-  /** Spark jobs, stages that ran, stages among them that wrote shuffle
-    * output, their shuffle bytes, and SQL executions.
-    */
-  final case class Activity(jobs: Int, stages: Int, shuffles: Int,
-                            shuffleReadBytes: Long, shuffleWriteBytes: Long, sqlExecutions: Int)
-
-  lazy val shared: SparkSession = {
-    val s = SparkSession.builder()
-      .master(sys.props.getOrElse("spark.master", "local[*]"))
-      .appName("repro").getOrCreate()
-    // One line in test output that records the memory setting and the
-    // parallelism the run actually used.
-    Console.err.println(
-      s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
-      s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
-    )
-    s
   }
 }

@@ -138,11 +138,4 @@ object AuthenticitySpec {
       "SELECT cuisine, count(*) AS n_recipes FROM recipes GROUP BY cuisine",
       "recipes" -> recipes.select("id", "cuisine"))
   }
-
-  /** N_c and n_i^c of the `ingredients` of `recipes`, one per cuisine sorted
-    * by cuisine, from the pass that `Authenticity.fingerprints` runs.
-    */
-  def itemCounts(recipes: DataFrame): Seq[Counts] =
-    CuisinePass(recipes, "ingredients")((cuisine, names, arrays) => Authenticity.count(cuisine, names, arrays(0)))
-      .map(countsOf)
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.spark_partition_id
 import repro.SparkSpec
+import repro.SparkSpec.sparkActivityOf
 import repro.fpm.{FPGrowth, FreqItemset}
 import repro.geo.Regions
 import repro.recipedb.{Recipe, RecipeGen}
@@ -16,17 +17,17 @@ import scala.jdk.CollectionConverters._
   * naming the column. Each row of each table below is one test.
   */
 class CuisinePassSpec extends SparkSpec {
-  import AuthenticitySpec.{Counts, cuisineCounts, itemCounts}
+  import AuthenticitySpec.{Counts, countsOf, cuisineCounts}
   import spark.implicits._
 
   /** The entry points and the columns each needs (`CuisinePass` reads every array column). */
   private val entryPoints = ListMap("CuisinePass" -> Seq(), "Pipeline.run" -> Seq("ingredients", "items"),
-    "PatternMiner.minePerCuisine" -> Seq("items"), "Authenticity.fingerprints" -> Seq("ingredients"),
-    "AuthenticitySpec.itemCounts" -> Seq("ingredients"))
+    "PatternMiner.minePerCuisine" -> Seq("items"), "Authenticity.fingerprints" -> Seq("ingredients"))
 
   /** A cached dataset and what its rows, collected to the driver, should give:
     * the rows by cuisine, their counts (checked against DuckDB), the miner's
-    * patterns, the fingerprints of those counts, and one `Pipeline.run`'s trees.
+    * patterns, the fingerprints of those counts, and the trees and geography
+    * scores that `Pipeline.assemble` builds from those patterns and counts.
     */
   private final class Reference(val recipes: DataFrame) {
     recipes.count() // fill the cache, so the pass reads the cached rows
@@ -37,10 +38,14 @@ class CuisinePassSpec extends SparkSpec {
       Counts(c, rs.size.toLong, rs.flatMap(_.head.distinct).groupMapReduce(identity)(_ => 1L)(_ + _))
     }
     AuthenticitySpec.assertCountsMatchDuckDb(counts, recipes)
-    lazy val patterns = counts.map(c => // `items` is the last column
-      (c.cuisine, c.nRecipes, itemsets(FPGrowth.mineLocal(rows(c.cuisine).map(_.last), PatternMiner.PaperMinSupport))))
+    private lazy val mined = counts.map(c => // `items` is the last column
+      PatternMiner.CuisinePatterns(c.cuisine, c.nRecipes,
+        FPGrowth.mineLocal(rows(c.cuisine).map(_.last), PatternMiner.PaperMinSupport)))
+    lazy val patterns = patternsOf(mined)
     lazy val fingerprints = Authenticity.fromCounts(counts.map(cuisineCounts))
-    lazy val (newick, geoSimilarity) = { val r = Pipeline.run(spark, recipes); (newickOf(r), r.geoSimilarity) }
+    lazy val (newick, geoSimilarity) = {
+      val r = Pipeline.assemble(mined, counts.map(cuisineCounts)); (newickOf(r), r.geoSimilarity)
+    }
   }
 
   private def itemsets(fis: Seq[FreqItemset]) = fis.map(fi => fi.items.toSet -> fi.freq).toSet
@@ -63,7 +68,7 @@ class CuisinePassSpec extends SparkSpec {
     case "Pipeline.run" =>
       val r = Pipeline.run(spark, recipes)
       ref => {
-        assert(patternsOf(r.patterns) == ref.patterns)
+        assert(patternsOf(r.patterns) == ref.patterns && r.counts.map(countsOf) == ref.counts)
         assert(newickOf(r) == ref.newick && r.geoSimilarity == ref.geoSimilarity)
         val geo = r.cuisines.forall(Regions.coordinates.contains) // else no geo tree, nothing compared with it
         assert(r.trees.keys.toSeq == (Pipeline.Metrics :+ "authenticity") ++ Option.when(geo)("geo"))
@@ -77,9 +82,6 @@ class CuisinePassSpec extends SparkSpec {
       val fp = Authenticity.fingerprints(spark, recipes)
       def cells(f: Authenticity.Fingerprints) = (f.cuisines, f.items, f.matrix.toSeq.map(_.toSeq))
       ref => assert(cells(fp) == cells(ref.fingerprints))
-    case "AuthenticitySpec.itemCounts" =>
-      val counts = itemCounts(recipes)
-      ref => assert(counts == ref.counts)
   }
 
   /** Cached recipes of `cuisines` whose item names are multi-byte UTF-8,
@@ -184,8 +186,6 @@ class CuisinePassSpec extends SparkSpec {
     ("PatternMiner.minePerCuisine", ("Greek", Seq("x"), Seq("x", null)),
       "null item in the items array of a recipe of cuisine Greek"),
     ("Authenticity.fingerprints", ("B", null, Seq("x")), "null ingredients array in a recipe of cuisine B"),
-    ("AuthenticitySpec.itemCounts", ("B", Seq(null, "x"), Seq("x")),
-      "null item in the ingredients array of a recipe of cuisine B"),
   )
 
   for ((entry, (cuisine, ingredients, items), message) <- rejections)

@@ -1,13 +1,13 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{PaperSpec, SparkSpec}
+import repro.SparkSpec.sparkActivityOf
 import repro.cluster.KMeans
-import repro.recipedb.RecipeGen
 
 class PipelineSpec extends SparkSpec {
 
-  // One full pipeline run at small scale, shared by the assertions below.
-  private lazy val res = Pipeline.run(spark, RecipeGen.recipes(spark, 0.02))
+  // The SF=1, seed-42 reproduction that PaperSpec checks, made once per test run.
+  private def res = PaperSpec.res
 
   test("pipeline yields all 26 cuisines in sorted order") {
     assert(res.cuisines.size == 26)
@@ -52,8 +52,20 @@ class PipelineSpec extends SparkSpec {
     }
   }
 
+  test("assemble rebuilds a run from its patterns and counts, with no Spark job") {
+    val (patterns, counts) = (res.patterns, res.counts) // reproduce first, so only assemble is counted
+    val (again, activity) = sparkActivityOf(Pipeline.assemble(patterns, counts))
+    assert(activity.jobs == 0, activity)
+    assert(again.cuisines == res.cuisines && again.trees.keys.toSeq == res.trees.keys.toSeq)
+    res.trees.foreach { case (name, t) => assert(again.trees(name).merges == t.merges, name) }
+    assert(again.features.patternUniverse == res.features.patternUniverse)
+    assert(again.features.matrix.map(_.toSeq).toSeq == res.features.matrix.map(_.toSeq).toSeq)
+    assert(again.geoSimilarity == res.geoSimilarity)
+    assert(again.wcss == res.wcss)
+  }
+
   test("Fig 1's WCSS is in the results: k = 1..10, no Spark job, computed once") {
-    val r = res // reproduce first, so only the elbow is counted
+    val r = Pipeline.assemble(res.patterns, res.counts) // fresh: the shared run's elbow may be computed
     val (wcss, activity) = sparkActivityOf(r.wcss)
     assert(activity.jobs == 0, activity)
     assert(wcss.map(_._1) == (1 to 10))
@@ -61,28 +73,29 @@ class PipelineSpec extends SparkSpec {
     assert(r.wcss eq wcss)
   }
 
-  test("Fig 1's WCSS at SF 0.02, seed 42 keeps its ten values") {
-    val expected = Seq(1588.0384615384, 1345.76, 1240.2083333333, 1073.7391304348, 946.0,
-      826.9824561404, 823.7777777778, 728.9435897436, 645.0428571429, 575.25)
+  test("Fig 1's WCSS at SF 1, seed 42 keeps its ten values") {
+    val expected = Seq(814.4230769231, 665.5488721805, 589.55, 529.6631578947, 458.5333333333,
+      425.2545454545, 365.8, 321.0777777778, 269.875, 233.175)
     assert(res.wcss.map(_._1) == (1 to 10))
     res.wcss.map(_._2).zip(expected).foreach { case (got, want) =>
       assert(math.abs(got - want) <= 1e-9 * want, s"$got vs $want")
     }
   }
 
-  test("East Asian cuisines are cophenetically close in the authenticity tree") {
-    val t = res.trees("authenticity")
-    val jp = res.leafIndex("Japanese")
-    val kr = res.leafIndex("Korean")
-    val fr = res.leafIndex("French")
-    assert(t.cophenetic(jp, kr) < t.cophenetic(jp, fr))
-  }
-
-  test("run rejects fewer than three cuisines before any clustering") {
-    import spark.implicits._
-    val two = RecipeGen.recipes(spark, 0.01).filter($"cuisine".isin("Japanese", "Korean"))
-    val e = intercept[IllegalArgumentException](Pipeline.run(spark, two))
+  test("assemble rejects fewer than three cuisines before any clustering") {
+    val two = Set("Japanese", "Korean")
+    val e = intercept[IllegalArgumentException](
+      Pipeline.assemble(res.patterns.filter(p => two(p.cuisine)), res.counts.filter(c => two(c.cuisine))))
     assert(e.getMessage.contains("need at least three cuisines, got 2"), e.getMessage)
     assert(e.getMessage.contains("k = 2..min(12, n - 1)"), e.getMessage)
+  }
+
+  test("assemble rejects counts of other cuisines or in another order, naming both") {
+    def names(cuisines: Seq[String]) = cuisines.mkString("[", ", ", "]")
+    Seq(res.counts.reverse, res.counts.tail).foreach { counts =>
+      val e = intercept[IllegalArgumentException](Pipeline.assemble(res.patterns, counts))
+      assert(e.getMessage.contains(s"patterns and counts name different cuisines: " +
+        s"${names(res.cuisines)} vs ${names(counts.map(_.cuisine))}"), e.getMessage)
+    }
   }
 }

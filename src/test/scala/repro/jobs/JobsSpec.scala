@@ -1,21 +1,19 @@
 package repro.jobs
 
-import org.apache.spark.sql.functions.{col, when}
-import repro.SparkSpec
+import repro.{PaperSpec, SparkSpec}
 import repro.core.{PatternMiner, Pipeline}
 import repro.cluster.KMeans
 import repro.fpm.FreqItemset
-import repro.recipedb.{CuisineSpecs, RecipeGen}
+import repro.recipedb.CuisineSpecs
 
-/** The jobs' pure rendering/aggregation functions, driven at small scale —
-  * the same code paths `spark-submit` users hit, minus `main`'s session
-  * bootstrap.
+/** The jobs' pure rendering/aggregation functions, driven by the SF=1,
+  * seed-42 reproduction that PaperSpec checks, and by runs assembled from a
+  * few of its cuisines: the same code paths `spark-submit` users hit, minus
+  * `main`'s session bootstrap. PaperSpec's golden file pins the whole render.
   */
 class JobsSpec extends SparkSpec {
 
-  // One pipeline run at small scale, shared by the tests below.
-  private lazy val res = Pipeline.run(spark, RecipeGen.recipes(spark, 0.01))
-  private lazy val mined = res.patterns
+  private def mined = PaperSpec.res.patterns
 
   test("TableIJob.rows produces one row per named pattern in Table I order") {
     val rows = TableIJob.rows(mined)
@@ -38,48 +36,22 @@ class JobsSpec extends SparkSpec {
     assert(support == Seq("sesame oil + soy sauce" -> Some(0.4), "green onion + sesame oil" -> None))
   }
 
-  test("TableIJob.render emits a header plus one line per row") {
-    val rows = TableIJob.rows(mined)
-    val out = TableIJob.render(rows)
-    assert(out.linesIterator.size == rows.size + 1)
-    assert(out.linesIterator.next().contains("Region"))
-  }
-
   test("TableIJob.render marks unmined patterns as MISS, not by crashing") {
     val rows = Seq(TableIJob.Row("X", 10, "a + b", 0.5, None, 7, 3, "t"))
     assert(TableIJob.render(rows).contains("MISS"))
   }
 
-  test("ReproJob.renderElbow formats the sweep") {
-    val sweep = KMeans.elbow(res.features.matrix, 1 to 3)
-    val out = ReproJob.renderElbow(sweep)
-    assert(out.linesIterator.size == 4)
-    assert(out.contains("WCSS"))
+  /** The run of three cuisines with coordinates, assembled from the shared
+    * run's patterns and counts, each cuisine first renamed by `rename`.
+    */
+  private def three(rename: String => String = identity): Pipeline.Results = {
+    val res = PaperSpec.res
+    val keep = Set("Italian", "US", "Indian Subcontinent")
+    Pipeline.assemble(res.patterns.filter(p => keep(p.cuisine)).map(p => p.copy(cuisine = rename(p.cuisine))),
+      res.counts.filter(c => keep(c.cuisine)).map(c => c.copy(cuisine = rename(c.cuisine))))
   }
 
-  test("ReproJob.render prints Table I, WCSS, all five trees and Fowlkes–Mallows") {
-    val out = ReproJob.render(res)
-    assert(out.contains("== Table I =="))
-    assert(out.contains(TableIJob.render(TableIJob.rows(res.patterns))))
-    assert(out.contains(ReproJob.renderElbow(KMeans.elbow(res.features.matrix, 1 to 10))))
-    Seq("patterns/euclidean", "patterns/cosine", "patterns/jaccard",
-      "authenticity", "geography").foreach { tree =>
-      assert(out.contains(s"== HAC ($tree) =="), tree)
-    }
-    assert(out.contains("Mean Fowlkes–Mallows similarity vs geography tree (k=2..12)"))
-    // 5 trees, each rendered as newick (one ';') per section
-    assert(out.count(_ == ';') >= 5)
-  }
-
-  // Three cuisines with coordinates and 50 or more recipes each at SF 0.01:
-  // a cuisine of a few recipes has a minimum count of 1 at support 0.2, so
-  // every subset of its items would be mined.
-  private lazy val three = {
-    val recipes = RecipeGen.recipes(spark, 0.01)
-    recipes.filter(recipes("cuisine").isin("Italian", "US", "Indian Subcontinent"))
-  }
-
-  private lazy val threeRes = Pipeline.run(spark, three)
+  private lazy val threeRes = three()
 
   test("ReproJob.renderTrees heads the Fowlkes–Mallows table with the cuts the comparison used") {
     assert(ReproJob.renderTrees(threeRes).contains("== Mean Fowlkes–Mallows similarity vs geography tree (k=2..2) =="))
@@ -91,9 +63,7 @@ class JobsSpec extends SparkSpec {
   }
 
   test("ReproJob.renderTrees omits the Fowlkes–Mallows section without a geography tree") {
-    val renamed = three.withColumn("cuisine",
-      when(col("cuisine") === "US", "Atlantis").otherwise(col("cuisine")))
-    val res = Pipeline.run(spark, renamed)
+    val res = three(c => if (c == "US") "Atlantis" else c)
     assert(res.geoSimilarity.isEmpty)
     val out = ReproJob.renderTrees(res)
     assert(out.contains("== HAC (authenticity) =="))
